@@ -31,15 +31,15 @@ typecheck:
 		echo "mypy not installed; skipping typecheck"; \
 	fi
 
-## Tier-1 test suite (the gate the driver enforces).
+## Tier-1 test suite, including the production-vs-oracle equivalence
+## and golden-digest tests.
 test:
 	$(PY) -m pytest -x -q
 
-## Quick perf bench: the scalar/vector x brute/index x batched/per-client
-## x parallel/serial x sharded/serial-state flag matrix
-## (use_vectorized_step, use_spatial_index, use_batched_ping,
-## use_parallel_ping, use_sharded_state) plus the orchestrator sweep
-## leg and the per-shard-count scaling leg.
+## Quick perf bench: the production engine against the oracle
+## (use_vectorized_step on/off) and batched against per-client ping
+## serving, the production-vs-oracle bit-identity check in both
+## cities, plus the orchestrator sweep leg.
 bench-quick:
 	$(PY) benchmarks/bench_perf_engine.py --quick
 

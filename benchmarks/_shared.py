@@ -12,9 +12,9 @@ cached log is as good as a fresh one.
 
 On a cold cache, :func:`prefetch_campaigns` fills several parameter
 sets at once through the process-pool orchestrator
-(:func:`repro.parallel.run_sweep`) — campaigns are seed-deterministic,
-so the worker-written cache files are byte-identical to the ones the
-in-process path writes.
+(:func:`repro.parallel.orchestrator.run_sweep`) — campaigns are
+seed-deterministic, so the worker-written cache files are
+byte-identical to the ones the in-process path writes.
 """
 
 from __future__ import annotations
@@ -79,9 +79,10 @@ def prefetch_campaigns(
     """Generate missing cached campaigns in parallel; returns the count.
 
     Each parameter dict takes the same keywords as :func:`campaign`.
-    Runs the misses through :func:`repro.parallel.run_sweep` — worker
-    processes write the same JSON-lines cache files the sequential path
-    would (campaigns are seed-deterministic, so the bytes match), and a
+    Runs the misses through
+    :func:`repro.parallel.orchestrator.run_sweep` — worker processes
+    write the same JSON-lines cache files the sequential path would
+    (campaigns are seed-deterministic, so the bytes match), and a
     later :func:`campaign` call is a pure cache hit.  A failed campaign
     raises: benches must not silently run on a partial cache.
     """

@@ -1,58 +1,33 @@
-"""Engine/ping throughput across the scalar/vector × brute/index ×
-batched/per-client × parallel/serial × sharded/serial-state matrix.
+"""Engine/ping throughput: the production engine against the oracle.
 
-The engine has five independent performance flags, all of which must
+The engine has one speed knob, ``use_vectorized_step``, and it must
 only ever change speed, never behaviour:
 
-* ``use_spatial_index`` (PR 1) — grid indexes behind the k-nearest and
-  point→area queries, replacing the seed's linear scans;
-* ``use_vectorized_step`` (PR 2) — numpy structure-of-arrays fleet
-  stepping (:mod:`repro.marketplace.fleet_array`), replacing per-object
-  driver stepping; nearest-k queries are then served straight off the
-  arrays, so the per-driver PointIndex is not maintained in this mode;
-* ``use_batched_ping`` (PR 4) — whole ping rounds answered in one
-  vectorized pass (``PingEndpoint.serve_round`` over
-  ``FleetArray.round_nearest``): one distance matrix per (fleet, car
-  type) against every ping location, shared top-k/EWT extraction and
-  surge-area lookups, per-account jitter resolved once per round.  Only
-  takes effect on the vectorized step path.
-* ``use_parallel_ping`` (PR 5) — the batched pass's distance kernels
-  sharded per (car type, location block) onto a worker thread pool
-  (:mod:`repro.parallel.sharding`; the kernels release the GIL) and
-  merged back in serial order.  Only takes effect on top of the batched
-  vectorized path; with ``parallel_workers`` unset it auto-sizes to
-  ``min(4, cpu_count)`` and stays serial on single-core machines.
-* ``use_sharded_state`` (PR 7) — the *tick's own state* partitioned per
-  spatial grid block (:mod:`repro.parallel.partition` +
-  ``ShardedFleetState``): the movement kernel and the observe census
-  run per stripe over disjoint rows of the shared fleet arrays, merged
-  serially in stripe order.  Only takes effect on the vectorized step
-  path; with ``state_shards`` unset it auto-sizes to
-  ``min(4, cpu_count)`` and stays serial on single-core machines.
+* **production** (``use_vectorized_step=True``, the default) — numpy
+  structure-of-arrays fleet stepping
+  (:mod:`repro.marketplace.fleet_array`), point→area lookups through
+  an ``AreaIndex``, and whole ping rounds answered by one batched,
+  serial ``PingEndpoint.serve_round`` pass over
+  ``FleetArray.round_nearest``;
+* **oracle** (``use_vectorized_step=False``) — ``Driver`` objects
+  stepped one by one, brute-force linear dispatch and area scans, and
+  one ``ping()`` per client: the seed behaviour, kept as the readable
+  reference the tests hold production to.
 
-The per-shard-count scaling leg times the bare engine tick under
-``state_shards`` in ``STATE_SHARD_COUNTS`` (1 = the serial reference) —
-the curve behind the ROADMAP item-2 claim that spatial partitioning,
-not just round serving, scales with cores.
-
-The ``sharded_executor`` leg is the process-executor headline: a
-~100k-driver Manhattan metro (306x the paper-era fleet) ticked three
-ways — serial, stripes on the thread pool, stripes in shared-memory
-worker processes (``shard_executor="process"``, the path that escapes
-the GIL entirely; :mod:`repro.parallel.shm`).  The
-``process_vs_serial_engine_ticks`` floor is enforced on >= 4-core
-machines only; single-core hosts record the numbers unenforced.
+A third leg, ``production_perclient``, runs the production engine but
+answers each round with one ``PingEndpoint.ping`` per request — the
+work ``serve_round`` batches away.
 
 A separate sweep leg times the process-pool campaign orchestrator
-(:func:`repro.parallel.run_sweep`): four independent campaigns (two
-seeds × two cities) sequentially vs in parallel, with a truth-digest
-cross-check that the two orders produce bit-identical campaigns.
+(:func:`repro.parallel.orchestrator.run_sweep`): four independent
+campaigns (two seeds × two cities) sequentially vs in parallel, with a
+truth-digest cross-check that the two orders produce bit-identical
+campaigns.
 
-This bench times the interesting legs on a 6-hour Manhattan scenario
-where every 5-second engine tick is followed by a full ping round (each
-fleet client pings every car type, exactly as `pingClient` was driven in
-§3.2; rounds are served through ``serve_round``, which the per-client
-legs answer with N independent pings).  Metrics per leg:
+This bench times the legs on a 6-hour Manhattan scenario where every
+5-second engine tick is followed by a full ping round (each fleet
+client pings every car type, exactly as `pingClient` was driven in
+§3.2).  Metrics per leg:
 
 * ``engine_ticks_per_s``  — bare simulation ticks (no clients attached);
 * ``ping_rounds_per_s``   — full fleet ping rounds served;
@@ -61,29 +36,24 @@ legs answer with N independent pings).  Metrics per leg:
 
 Headline speedups reported:
 
-* ``sharded_2shard_vs_serial_engine_ticks`` — the PR 7 headline: the
-  2-stripe sharded tick vs the serial-state reference, engine ticks
-  only (target: >= 1.4x on >= 2 cores);
-* ``parallel_vs_serial_ping_rounds`` — the PR 5 headline: sharded round
-  serving with 4 forced workers vs the single-thread batched path
-  (target: >= 1.3x on >= 4 cores);
 * ``sweep_parallel_vs_sequential`` — the 4-campaign orchestrator sweep
   vs running the same specs sequentially (target: >= 2x on >= 4 cores);
-* ``batched_vs_perclient_ping_rounds`` — the PR 4 headline: batched
-  round serving vs the per-client vectorized path (target: >= 1.5x);
-* ``vector_vs_scalar_engine_ticks`` — vectorized vs scalar stepping,
-  both with their best query path (target: >= 2x);
-* ``defaults_vs_seed_campaign`` — all flags on vs all off (>= 4x);
-* ``indexed_vs_brute_scalar_campaign`` — the PR 1 comparison, retained.
+* ``batched_vs_perclient_ping_rounds`` — batched round serving vs one
+  ``ping()`` per request on the same production engine (target:
+  >= 1.5x);
+* ``vector_vs_scalar_engine_ticks`` — production vs oracle stepping,
+  engine ticks only (target: >= 2x);
+* ``defaults_vs_seed_campaign`` — production vs oracle, tick + ping
+  round (target: >= 4x).
 
 Each target is recorded in the output JSON under ``thresholds`` with an
-``enforced`` bit (thread/process speedups are only enforced on machines
-with >= 4 cores; single-core CI still records the numbers).
+``enforced`` bit (the sweep speedup is only enforced on machines with
+>= 4 cores; single-core CI still records the numbers).
 
 The same-seed equivalence check at the end re-runs a small scenario in
-all thirty-two flag combinations and requires bit-identical
+both cities on both engines and requires bit-identical
 ``IntervalTruth`` logs, trip ledgers, ping replies, and engine RNG
-state — the flags must never change behaviour.
+state — the knob must never change behaviour.
 
 Run directly (writes ``benchmarks/out/BENCH_perf_engine.json``)::
 
@@ -97,21 +67,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.api.ping import PingEndpoint
-from repro.marketplace.config import (
-    CityConfig,
-    ParallelParams,
-    manhattan_config,
-)
+from repro.marketplace.config import CityConfig, manhattan_config, sf_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.measurement.placement import place_clients
 from repro.parallel.orchestrator import CampaignSpec, run_sweep
@@ -137,9 +104,16 @@ QUICK_TICKS = 10
 WARMUP_TICKS = 5
 
 
-def scenario_config(scale: int) -> CityConfig:
-    """Manhattan with fleet and demand scaled *scale*-fold."""
-    cfg = manhattan_config()
+#: City name -> config factory, for the equivalence check.
+CITIES: Dict[str, Callable[[], CityConfig]] = {
+    "manhattan": manhattan_config,
+    "sf": sf_config,
+}
+
+
+def scenario_config(scale: int, city: str = "manhattan") -> CityConfig:
+    """*city* with fleet and demand scaled *scale*-fold."""
+    cfg = CITIES[city]()
     return dataclasses.replace(
         cfg,
         fleet={ct: n * scale for ct, n in cfg.fleet.items()},
@@ -147,100 +121,33 @@ def scenario_config(scale: int) -> CityConfig:
     )
 
 
-#: Worker threads the forced-parallel leg and the sweep use; matches
-#: the ">= 4 workers / >= 4 cores" acceptance targets.
+#: Campaign processes the sweep leg uses; matches the ">= 4 jobs /
+#: >= 4 cores" acceptance target.
 PARALLEL_WORKERS = 4
 
-#: The timed engine modes, keyed by the flag combination they exercise.
-#: ``vector_parallel`` is the default mode with ``parallel_workers``
-#: pinned to 4 (auto-sizing would fall back to serial on small CI
-#: boxes, which is the right default but not an interesting A/B);
-#: ``vector_indexed`` turns only ``use_parallel_ping`` off — the PR 5
-#: A/B pair and the PR 4 configuration; ``vector_perclient`` turns
-#: ``use_batched_ping`` off too — the PR 4 A/B pair;
-#: ``scalar_indexed`` is the PR 1 configuration; ``scalar_brute`` is
-#: the seed behaviour.  (``use_batched_ping``/``use_parallel_ping`` are
-#: moot on the scalar legs: with no FleetArray the round query declines
-#: and ``serve_round`` serves per client either way.)
-#: Shard counts the per-shard-count scaling leg times (1 = the serial
-#: reference path: ``state_shards=1`` builds no sharded facade at all).
-STATE_SHARD_COUNTS = (1, 2, 4)
-
-LEGS: Dict[str, Dict[str, object]] = {
-    "vector_parallel": {
-        "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": True,
-        "parallel_workers": PARALLEL_WORKERS,
-        "use_sharded_state": True, "state_shards": PARALLEL_WORKERS,
+#: The timed engine modes: ``production`` is the default engine serving
+#: whole rounds through ``serve_round``; ``production_perclient`` is the
+#: same engine answering one ``ping()`` per request; ``oracle`` is
+#: ``use_vectorized_step=False`` (Driver objects, brute scans, and
+#: per-client pings — the seed behaviour).
+LEGS: Dict[str, Dict[str, bool]] = {
+    "production": {"use_vectorized_step": True, "per_client": False},
+    "production_perclient": {
+        "use_vectorized_step": True, "per_client": True,
     },
-    "vector_indexed": {
-        "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": False,
-        "use_sharded_state": False,
-    },
-    "vector_perclient": {
-        "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": False, "use_parallel_ping": False,
-        "use_sharded_state": False,
-    },
-    "scalar_indexed": {
-        "use_spatial_index": True, "use_vectorized_step": False,
-        "use_batched_ping": True, "use_parallel_ping": False,
-        "use_sharded_state": False,
-    },
-    "vector_brute": {
-        "use_spatial_index": False, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": False,
-        "use_sharded_state": False,
-    },
-    "scalar_brute": {
-        "use_spatial_index": False, "use_vectorized_step": False,
-        "use_batched_ping": False, "use_parallel_ping": False,
-        "use_sharded_state": False,
-    },
+    "oracle": {"use_vectorized_step": False, "per_client": False},
 }
-# The per-shard-count scaling legs: the PR 4/5 serving configuration
-# held fixed, only the state-shard count varying, so the
-# engine_ticks_per_s column isolates how the tick itself scales.
-for _shards in STATE_SHARD_COUNTS:
-    LEGS[f"sharded_state_{_shards}"] = {
-        "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": False,
-        "use_sharded_state": True, "state_shards": _shards,
-    }
 
-#: The process-executor metro leg: ~100k drivers (Manhattan seeds 327
-#: drivers per scale unit, so 306x = 100 062) ticked bare under each
-#: executor.  Quick mode shrinks the metro but still forces the pool
-#: paths by dropping the shard-row floor to 1.
-EXECUTOR_SCALE_FULL = 306
-EXECUTOR_SCALE_QUICK = 4
-EXECUTOR_TICKS_FULL = 40
-EXECUTOR_TICKS_QUICK = 6
-EXECUTOR_SHARDS = 4
-
-#: Every flag combination, for the equivalence check (thirty-two
-#: combos).  Sharded combos are run with ``state_shards`` forced to 3
-#: (see ``check_equivalence``); the {1, 2, 4, 7} shard-count sweep
-#: lives in tests/test_sharded_state.py.
+#: Both settings of the engine's one knob, for the equivalence check:
+#: production first, then the oracle it must match.
 ALL_COMBOS: List[Dict[str, bool]] = [
-    {
-        "use_spatial_index": bool(spatial),
-        "use_vectorized_step": bool(vec),
-        "use_batched_ping": bool(batched),
-        "use_parallel_ping": bool(parallel),
-        "use_sharded_state": bool(sharded),
-    }
-    for spatial in (True, False)
-    for vec in (True, False)
-    for batched in (True, False)
-    for parallel in (True, False)
-    for sharded in (True, False)
+    {"use_vectorized_step": True},
+    {"use_vectorized_step": False},
 ]
 
 
 def _timed_campaign(
-    flags: Dict[str, object],
+    leg: Dict[str, bool],
     scale: int,
     ticks: int,
     seed: int,
@@ -252,26 +159,39 @@ def _timed_campaign(
     if scale <= 0:
         raise ValueError("scale must be positive")
     cfg = scenario_config(scale)
-    engine = MarketplaceEngine(cfg, seed=seed, **flags)
+    engine = MarketplaceEngine(
+        cfg, seed=seed, use_vectorized_step=leg["use_vectorized_step"]
+    )
     endpoint = PingEndpoint(engine)
     clients = list(place_clients(cfg.region, max_clients=max_clients))
     requests = [
         (f"bench{i}", loc, None) for i, loc in enumerate(clients)
     ]
+
+    def serve() -> None:
+        if leg["per_client"]:
+            for account_id, location, car_types in requests:
+                endpoint.ping(account_id, location, car_types)
+        else:
+            endpoint.serve_round(requests)
+
     for _ in range(WARMUP_TICKS):
         engine.tick()
-        endpoint.serve_round(requests)
+        serve()
+    # Start timing with no garbage pending from other code (an earlier
+    # leg, or earlier tests in the same process): one full collection
+    # of it can take longer than a whole quick-mode production leg.
+    gc.collect()
     tick_s = ping_s = 0.0
     for _ in range(ticks):
         t0 = time.perf_counter()
         engine.tick()
         tick_s += time.perf_counter() - t0
         t0 = time.perf_counter()
-        endpoint.serve_round(requests)
+        serve()
         ping_s += time.perf_counter() - t0
     total = tick_s + ping_s
     scenario_ticks = SCENARIO_HOURS * 3600.0 / TICK_S
-    engine.close()
     return {
         "fleet_size": sum(cfg.fleet.values()),
         "cpu_count": os.cpu_count() or 1,
@@ -287,103 +207,20 @@ def _timed_campaign(
     }
 
 
-def _timed_executor_ticks(
-    scale: int, ticks: int, seed: int, mode: str
-) -> Dict[str, float]:
-    """Bare engine ticks/s for one executor mode of the metro leg.
-
-    ``serial`` is the unsharded reference; ``thread``/``process`` force
-    ``EXECUTOR_SHARDS`` stripes through the named executor with the
-    shard-row floor dropped to 1 so the pool path runs at every scale.
-    """
-    cfg = scenario_config(scale)
-    kwargs: Dict[str, object] = {
-        "use_spatial_index": True, "use_vectorized_step": True,
-        "use_batched_ping": True, "use_parallel_ping": False,
-    }
-    if mode == "serial":
-        kwargs["use_sharded_state"] = False
-    else:
-        cfg = dataclasses.replace(
-            cfg, parallel=ParallelParams(min_shard_rows=1)
-        )
-        kwargs.update(
-            use_sharded_state=True,
-            state_shards=EXECUTOR_SHARDS,
-            shard_executor=mode,
-        )
-    engine = MarketplaceEngine(cfg, seed=seed, **kwargs)
-    for _ in range(WARMUP_TICKS):
-        engine.tick()
-    t0 = time.perf_counter()
-    for _ in range(ticks):
-        engine.tick()
-    wall = time.perf_counter() - t0
-    drivers = sum(cfg.fleet.values())
-    engine.close()
-    return {
-        "drivers": float(drivers),
-        "engine_ticks_per_s": ticks / wall if wall else float("inf"),
-    }
-
-
-def _timed_executor_leg(quick: bool, seed: int) -> Dict[str, object]:
-    """The tentpole A/B/C: serial vs thread vs process engine ticks on
-    the big metro.  One warm engine per mode, closed after timing so no
-    shared segment outlives its leg."""
-    scale = EXECUTOR_SCALE_QUICK if quick else EXECUTOR_SCALE_FULL
-    ticks = EXECUTOR_TICKS_QUICK if quick else EXECUTOR_TICKS_FULL
-    modes = {
-        mode: _timed_executor_ticks(scale, ticks, seed, mode)
-        for mode in ("serial", "thread", "process")
-    }
-    rate = {m: r["engine_ticks_per_s"] for m, r in modes.items()}
-    return {
-        "scale": scale,
-        "drivers": modes["serial"]["drivers"],
-        "shards": EXECUTOR_SHARDS,
-        "ticks_measured": ticks,
-        "engine_ticks_per_s": rate,
-        "speedup": {
-            "thread_vs_serial": rate["thread"] / rate["serial"],
-            "process_vs_serial": rate["process"] / rate["serial"],
-            "process_vs_thread": rate["process"] / rate["thread"],
-        },
-    }
-
-
 def check_equivalence(
     scale: int = 1, ticks: int = 60, seed: int = 11
 ) -> bool:
-    """Same seed, all thirty-two flag combos: truth, trips, ping
-    replies, and engine RNG state must be bit-identical across every
-    leg.
+    """Same seed, production against oracle, in both cities: truth,
+    trips, ping replies, and engine RNG state must be bit-identical.
 
-    Rounds are served through ``serve_round`` so the batched and
-    per-client paths are compared reply-for-reply; one extra direct
-    ``ping`` per round pins the batch path to the single-ping entry
-    point as well.  Parallel combos force three workers and sharded
-    combos three state stripes, both with one-element/one-row shard
-    floors, so the threaded merge paths actually run at this toy scale
-    (auto-sizing would serve such small work inline).
+    Rounds are served through ``serve_round`` — batched on production,
+    per client on the oracle — so the two serving paths are compared
+    reply-for-reply; one extra direct ``ping`` per round pins the batch
+    path to the single-ping entry point as well.
     """
-    def run(flags: Dict[str, bool], executor: Optional[str] = None):
-        cfg = scenario_config(scale)
-        kwargs: Dict[str, object] = dict(flags)
-        if flags.get("use_parallel_ping") or flags.get("use_sharded_state"):
-            cfg = dataclasses.replace(
-                cfg,
-                parallel=ParallelParams(
-                    min_shard_elements=1, min_shard_rows=1
-                ),
-            )
-        if flags.get("use_parallel_ping"):
-            kwargs["parallel_workers"] = 3
-        if flags.get("use_sharded_state"):
-            kwargs["state_shards"] = 3
-        if executor is not None:
-            kwargs["shard_executor"] = executor
-        engine = MarketplaceEngine(cfg, seed=seed, **kwargs)
+    def run(city: str, flags: Dict[str, bool]):
+        cfg = scenario_config(scale, city)
+        engine = MarketplaceEngine(cfg, seed=seed, **flags)
         endpoint = PingEndpoint(engine)
         clients = list(place_clients(cfg.region, max_clients=8))
         requests = [(f"eq{i}", loc, None) for i, loc in enumerate(clients)]
@@ -393,23 +230,17 @@ def check_equivalence(
             if t % 5 == 0:
                 replies.extend(endpoint.serve_round(requests))
                 replies.append(endpoint.ping("eq0", clients[0]))
-        result = (
+        return (
             engine.truth,
             engine.completed_trips,
             replies,
             engine.rng.getstate(),
         )
-        engine.close()
-        return result
 
-    reference = run(ALL_COMBOS[-1])  # all flags off: seed behaviour
-    if not all(run(flags) == reference for flags in ALL_COMBOS[:-1]):
-        return False
-    # The thirty-third run: the all-flags-on combo again but with the
-    # stripes in shared-memory worker processes.  ``shard_executor`` is
-    # a string knob outside the use_* matrix, yet bound by the same
-    # contract — the executor must never reach the bits.
-    return run(ALL_COMBOS[0], executor="process") == reference
+    production, oracle = ALL_COMBOS
+    return all(
+        run(city, production) == run(city, oracle) for city in CITIES
+    )
 
 
 def _timed_sweep(quick: bool, seed: int) -> Dict[str, object]:
@@ -480,87 +311,42 @@ def run_bench(
     )
     max_clients = 200 if quick else None
     legs = {
-        name: _timed_campaign(flags, scale, ticks, seed, max_clients)
-        for name, flags in LEGS.items()
+        name: _timed_campaign(leg, scale, ticks, seed, max_clients)
+        for name, leg in LEGS.items()
     }
     equivalent = check_equivalence(
         scale=1, ticks=30 if quick else 60, seed=seed + 8
     )
     sweep = _timed_sweep(quick, seed + 100)
-    executor_leg = _timed_executor_leg(quick, seed + 40)
-    vec, sca = legs["vector_indexed"], legs["scalar_indexed"]
-    par = legs["vector_parallel"]
-    perclient = legs["vector_perclient"]
-    seed_leg = legs["scalar_brute"]
+    prod = legs["production"]
+    perclient = legs["production_perclient"]
+    oracle = legs["oracle"]
     cores = os.cpu_count() or 1
-    # The per-shard-count scaling curve: bare engine ticks/s by
-    # state-shard count, serving configuration held fixed.
-    sharded_scaling = {
-        str(shards): legs[f"sharded_state_{shards}"]["engine_ticks_per_s"]
-        for shards in STATE_SHARD_COUNTS
-    }
     speedup = {
-        # The PR 7 headline: the 2-stripe sharded tick vs the
-        # serial-state reference (target: >= 1.4x on >= 2 cores).
-        "sharded_2shard_vs_serial_engine_ticks": (
-            legs["sharded_state_2"]["engine_ticks_per_s"]
-            / legs["sharded_state_1"]["engine_ticks_per_s"]
-        ),
-        # The process-executor headline: the big-metro tick in
-        # shared-memory worker processes vs serial (target: >= 1.3x on
-        # >= 4 cores — below that fork+pickle overhead wins).
-        "process_vs_serial_engine_ticks": (
-            executor_leg["speedup"]["process_vs_serial"]
-        ),
-        # The PR 5 headline: sharded round serving (4 forced workers)
-        # vs the single-thread batched path (target: >= 1.3x, >=4 cores).
-        "parallel_vs_serial_ping_rounds": (
-            par["ping_rounds_per_s"] / vec["ping_rounds_per_s"]
-        ),
         # The orchestrator headline: 4-campaign sweep, parallel vs
         # sequential (target: >= 2x on >= 4 cores).
         "sweep_parallel_vs_sequential": sweep["speedup"],
-        # The PR 4 headline: batched round serving vs the per-client
-        # vectorized path (target: >= 1.5x).
+        # Batched round serving vs one ping() per request on the same
+        # production engine (target: >= 1.5x).
         "batched_vs_perclient_ping_rounds": (
-            vec["ping_rounds_per_s"] / perclient["ping_rounds_per_s"]
+            prod["ping_rounds_per_s"] / perclient["ping_rounds_per_s"]
         ),
-        # The PR 2 headline: vectorized stepping vs the PR 1 scalar
-        # path, engine ticks only (target: >= 2x).
+        # Production vs oracle stepping, engine ticks only
+        # (target: >= 2x).
         "vector_vs_scalar_engine_ticks": (
-            vec["engine_ticks_per_s"] / sca["engine_ticks_per_s"]
+            prod["engine_ticks_per_s"] / oracle["engine_ticks_per_s"]
         ),
-        # All flags on vs the seed's scalar linear-scan engine.
+        # Production vs oracle end to end: tick + ping round.
         "defaults_vs_seed_campaign": (
-            vec["campaign_ticks_per_s"] / seed_leg["campaign_ticks_per_s"]
-        ),
-        "defaults_vs_seed_engine_ticks": (
-            vec["engine_ticks_per_s"] / seed_leg["engine_ticks_per_s"]
-        ),
-        # The PR 1 comparison, retained for continuity.
-        "indexed_vs_brute_scalar_campaign": (
-            sca["campaign_ticks_per_s"] / seed_leg["campaign_ticks_per_s"]
+            prod["campaign_ticks_per_s"] / oracle["campaign_ticks_per_s"]
         ),
     }
     # Regression thresholds, recorded alongside the numbers they bound.
-    # Thread/process speedups are physical claims about multi-core
-    # machines; on smaller boxes (and in --quick mode, whose tiny slices
-    # are noise-dominated) they are recorded but not enforced.
+    # The sweep speedup is a physical claim about multi-core machines;
+    # on smaller boxes (and in --quick mode, whose tiny slices are
+    # noise-dominated) the floors are recorded but not enforced.
     multicore = cores >= PARALLEL_WORKERS
     thresholds = {
-        "sharded_2shard_vs_serial_engine_ticks": {
-            "min": 1.4, "enforced": cores >= 2 and not quick,
-            "shards": 2,
-        },
-        "process_vs_serial_engine_ticks": {
-            "min": 1.3, "enforced": multicore and not quick,
-            "shards": EXECUTOR_SHARDS,
-            "drivers": executor_leg["drivers"],
-        },
-        "parallel_vs_serial_ping_rounds": {
-            "min": 1.3, "enforced": multicore and not quick,
-            "workers": PARALLEL_WORKERS,
-        },
         "sweep_parallel_vs_sequential": {
             "min": 2.0, "enforced": multicore and not quick,
             "jobs": sweep["jobs"],
@@ -581,13 +367,11 @@ def run_bench(
         "cpu_count": cores,
         "scenario": (
             f"{SCENARIO_HOURS:g}h Manhattan x{scale} "
-            f"({vec['fleet_size']} drivers, "
-            f"{vec['clients']} clients, {TICK_S:g}s ticks)"
+            f"({prod['fleet_size']} drivers, "
+            f"{prod['clients']} clients, {TICK_S:g}s ticks)"
         ),
         "legs": legs,
         "sweep": sweep,
-        "sharded_scaling": sharded_scaling,
-        "sharded_executor": executor_leg,
         "speedup": speedup,
         "thresholds": thresholds,
         "truth_equivalent": equivalent,
@@ -632,22 +416,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{name} {legs[name][key]:8.2f}" for name in LEGS
             )
         )
-    lines.append(
-        "sharded scaling (engine ticks/s by state_shards): "
-        + "  ".join(
-            f"{shards}: {rate:8.2f}"
-            for shards, rate in result["sharded_scaling"].items()
-        )
-    )
-    executor_leg = result["sharded_executor"]
-    lines.append(
-        f"executor metro ({executor_leg['drivers']:.0f} drivers, "
-        f"{executor_leg['shards']} shards, engine ticks/s): "
-        + "  ".join(
-            f"{mode}: {rate:8.2f}"
-            for mode, rate in executor_leg["engine_ticks_per_s"].items()
-        )
-    )
     thresholds = result["thresholds"]
     threshold_failures: List[str] = []
     for name, value in result["speedup"].items():

@@ -3,13 +3,13 @@
 The PR 10 headline: the same 8-campaign sweep (two cities × four
 seeds, the §4 campaign shape) dispatched four ways —
 
-* ``sequential``  — :func:`repro.parallel.run_sweep` with ``jobs=1``,
-  the single-process reference;
+* ``sequential``  — :func:`repro.parallel.orchestrator.run_sweep` with
+  ``jobs=1``, the single-process reference;
 * ``local_pool``  — ``run_sweep`` with a local process pool (the PR 6
   orchestrator path);
-* ``cluster_2``   — :func:`repro.parallel.run_cluster_sweep` against
-  two single-job ``repro worker`` subprocesses over real localhost
-  sockets;
+* ``cluster_2``   — :func:`repro.parallel.cluster.run_cluster_sweep`
+  against two single-job ``repro worker`` subprocesses over real
+  localhost sockets;
 * ``cluster_4``   — the same against four workers.
 
 Every worker is a genuine ``python -m repro.cli worker --listen``

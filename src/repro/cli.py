@@ -34,10 +34,11 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.marketplace.config import manhattan_config, sf_config
 from repro.marketplace.engine import MarketplaceEngine
@@ -54,6 +55,54 @@ def _config_for(city: str, jitter: float):
     if city == "sf":
         return sf_config(jitter_probability=jitter)
     raise SystemExit(f"unknown city {city!r} (use manhattan or sf)")
+
+
+_T = TypeVar("_T")
+
+
+def _checked(
+    parse: Callable[[str], _T], ok: Callable[[_T], bool], what: str
+) -> Callable[[str], _T]:
+    """An argparse ``type=`` that parses and range-checks one number.
+
+    A value that does not parse, or parses out of range, becomes an
+    argparse usage error naming the flag (exit 2) instead of a raw
+    ``ValueError`` traceback from deep inside a campaign.
+    """
+    def convert(text: str) -> _T:
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return convert
+
+
+_positive = _checked(float, lambda v: 0.0 < v < math.inf,
+                     "a positive number")
+_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf,
+                         "a number >= 0")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0,
+                        "a probability in [0, 1]")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _seed_list(text: str) -> List[int]:
+    """``--seeds``: comma-separated, distinct integers."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        )
+    if len(seeds) != len(set(seeds)):
+        raise argparse.ArgumentTypeError("seeds must be distinct")
+    return seeds
 
 
 def _seed_out_path(out: str, seed: int) -> str:
@@ -73,13 +122,7 @@ def _seed_out_path(out: str, seed: int) -> str:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [args.seed]
-    )
-    if len(seeds) != len(set(seeds)):
-        raise SystemExit("--seeds must be distinct")
+    seeds = args.seeds or [args.seed]
     workers = [
         address.strip()
         for address in (args.workers or "").split(",")
@@ -92,12 +135,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if len(seeds) == 1 and args.jobs <= 1 and not cluster_mode:
         # Single campaign: the original in-process path, exactly.
         config = _config_for(args.city, args.jitter)
-        engine = MarketplaceEngine(
-            config,
-            seed=seeds[0],
-            state_shards=args.state_shards,
-            shard_executor=args.shard_executor,
-        )
+        engine = MarketplaceEngine(config, seed=seeds[0])
         positions = place_clients(config.region)
         fleet = Fleet(positions, car_types=[CarType.UBERX],
                       ping_interval_s=args.ping_interval)
@@ -111,7 +149,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
             warmup_s=args.warmup_hours * 3600.0,
         )
         log.save(args.out)
-        engine.close()
         print(f"wrote {len(log.rounds)} rounds to {args.out}")
         return 0
 
@@ -131,14 +168,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
                 _seed_out_path(args.out, seed)
                 if len(seeds) > 1
                 else args.out
-            ),
-            engine_flags=tuple(
-                (name, value)
-                for name, value in (
-                    ("state_shards", args.state_shards),
-                    ("shard_executor", args.shard_executor),
-                )
-                if value is not None
             ),
         )
         for seed in seeds
@@ -486,35 +515,21 @@ def build_parser() -> argparse.ArgumentParser:
     measure = sub.add_parser("measure", help="run a measurement campaign")
     measure.add_argument("--city", default="manhattan",
                          choices=("manhattan", "sf"))
-    measure.add_argument("--hours", type=float, default=2.0)
-    measure.add_argument("--warmup-hours", type=float, default=7.0)
-    measure.add_argument("--ping-interval", type=float, default=5.0)
-    measure.add_argument("--jitter", type=float, default=0.25)
+    measure.add_argument("--hours", type=_positive, default=2.0)
+    measure.add_argument("--warmup-hours", type=_non_negative,
+                         default=7.0)
+    measure.add_argument("--ping-interval", type=_positive, default=5.0)
+    measure.add_argument("--jitter", type=_probability, default=0.25)
     measure.add_argument("--seed", type=int, default=2015)
     measure.add_argument(
-        "--seeds", default=None,
+        "--seeds", type=_seed_list, default=None,
         help="comma-separated seed list — runs one campaign per seed "
              "(logs get a .s<seed> tag) and overrides --seed",
     )
     measure.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes for multi-seed sweeps (1 = sequential; "
              "see repro.parallel.orchestrator)",
-    )
-    measure.add_argument(
-        "--state-shards", type=int, default=None,
-        help="spatial shards for the fleet-state tick (default: auto = "
-             "min(4, cores); 1 forces the serial reference path; any "
-             "count is bit-identical — see repro.parallel.partition)",
-    )
-    measure.add_argument(
-        "--shard-executor", choices=("thread", "process"), default=None,
-        help="stripe executor for the sharded fleet-state tick: "
-             "'thread' (default) shares the engine's worker thread "
-             "pool; 'process' runs stripes in worker processes over "
-             "shared-memory arrays — past-the-GIL scaling for "
-             "100k-driver metros, bit-identical either way (see "
-             "repro.parallel.shm)",
     )
     measure.add_argument(
         "--workers", default=None, metavar="HOST:PORT[,HOST:PORT...]",
@@ -530,12 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
              "--workers alternative for workers behind NAT)",
     )
     measure.add_argument(
-        "--spec-timeout", type=float, default=None,
+        "--spec-timeout", type=_positive, default=None,
         help="cluster only: seconds before an unanswered campaign is "
              "requeued on another worker (default: no timeout)",
     )
     measure.add_argument(
-        "--max-attempts", type=int, default=3,
+        "--max-attempts", type=_positive_int, default=3,
         help="cluster only: assignment attempts per campaign before "
              "the dispatcher records a structured failure outcome "
              "(default 3)",
@@ -560,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
              "serves until interrupted",
     )
     worker.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="local campaign worker processes (default: min(4, cores))",
     )
     worker.set_defaults(func=cmd_worker)

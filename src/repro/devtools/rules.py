@@ -7,10 +7,9 @@ flag-matrix test text for REP006); they never import the code under
 analysis, so linting a file can never execute it.
 
 The rules are deliberately tuned to *this* codebase's determinism
-contract — the sixteen-way ``use_spatial_index`` ×
-``use_vectorized_step`` × ``use_batched_ping`` × ``use_parallel_ping``
-bit-identity matrix enforced by ``tests/test_perf_regression.py`` — not
-to Python in general.  Heuristic boundaries (e.g. REP003 only recognises
+contract — the production engine and the ``use_vectorized_step=False``
+oracle must be bit-identical, which ``tests/test_perf_regression.py``
+enforces — not to Python in general.  Heuristic boundaries (e.g. REP003 only recognises
 RNG receivers whose name contains ``rng``) are documented in
 ``docs/static_analysis.md`` next to each rule.
 """

@@ -19,8 +19,11 @@ size.  This module provides drop-in sublinear replacements:
   identical to the linear scan.
 
 Both indexes are pure reads at query time: they never consume RNG state
-and never mutate the objects they store, which is what lets the engine
-guarantee identical ``IntervalTruth`` logs with the index on or off.
+and never mutate the objects they store.  That is what lets the
+production engine (which looks areas up through :class:`AreaIndex`)
+guarantee the same ``IntervalTruth`` logs as the oracle's linear scans,
+and the taxi replayer (which snaps cars through :class:`PointIndex`)
+stay identical with its index on or off.
 """
 
 from __future__ import annotations

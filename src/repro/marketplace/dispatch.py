@@ -9,11 +9,9 @@ demand (§3.3).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from repro.geo.index import PointIndex
 from repro.geo.latlon import LatLon
 from repro.marketplace.driver import Driver, Trip
 from repro.marketplace.rider import RideRequest
@@ -56,20 +54,13 @@ class Dispatcher:
         location: LatLon,
         car_type: CarType,
         k: int = 8,
-        index: Optional[PointIndex] = None,
     ) -> List[Driver]:
         """The *k* closest dispatchable drivers of *car_type*.
 
         This is the same view `pingClient` serves: eight cars, nearest
-        first (§3.3).  With *index* (a :class:`PointIndex` holding
-        exactly the dispatchable drivers of *car_type* — the engine
-        maintains per-type idle-only indexes), the expanding-ring query
-        replaces the linear scan with no predicate at all; both paths
-        use the same distance function and ``(distance, driver_id)``
-        tie-break, so results are identical.
+        first (§3.3), ordered by ``(distance, driver_id)`` — the linear
+        scan the engine's array path must reproduce exactly.
         """
-        if index is not None:
-            return [d for _, _, d in index.nearest_k(location, k)]
         candidates = [
             (d.location.fast_distance_m(location), d.driver_id, d)
             for d in drivers
@@ -83,7 +74,6 @@ class Dispatcher:
         drivers: Iterable[Driver],
         location: LatLon,
         car_type: CarType,
-        index: Optional[PointIndex] = None,
     ) -> Optional[EwtEstimate]:
         """EWT at *location*, or ``None`` when no car is available.
 
@@ -91,9 +81,7 @@ class Dispatcher:
         plus a fixed pickup overhead, floored at one minute — the Client
         app never shows "0 minutes".
         """
-        nearest = self.nearest_idle(
-            drivers, location, car_type, k=1, index=index
-        )
+        nearest = self.nearest_idle(drivers, location, car_type, k=1)
         if not nearest:
             return None
         return self.ewt_for(nearest[0], location)
@@ -117,7 +105,6 @@ class Dispatcher:
         request: RideRequest,
         drivers: Iterable[Driver],
         now: float,
-        index: Optional[PointIndex] = None,
     ) -> Optional[Driver]:
         """Book the nearest idle driver for a converted request.
 
@@ -129,7 +116,7 @@ class Dispatcher:
         if not request.converted:
             raise ValueError("cannot dispatch a priced-out request")
         nearest = self.nearest_idle(
-            drivers, request.pickup, request.car_type, k=1, index=index
+            drivers, request.pickup, request.car_type, k=1
         )
         if not nearest:
             return None

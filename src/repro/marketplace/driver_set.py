@@ -62,20 +62,10 @@ class DriverSetPricingEngine(MarketplaceEngine):
         config: CityConfig,
         seed: int = 0,
         pricing: Optional[DriverSetParams] = None,
-        use_spatial_index: bool = True,
         use_vectorized_step: bool = True,
-        use_batched_ping: bool = True,
-        use_parallel_ping: bool = True,
-        parallel_workers: Optional[int] = None,
     ) -> None:
         super().__init__(
-            config,
-            seed=seed,
-            use_spatial_index=use_spatial_index,
-            use_vectorized_step=use_vectorized_step,
-            use_batched_ping=use_batched_ping,
-            use_parallel_ping=use_parallel_ping,
-            parallel_workers=parallel_workers,
+            config, seed=seed, use_vectorized_step=use_vectorized_step
         )
         self.pricing = pricing if pricing is not None else DriverSetParams()
 
@@ -105,8 +95,8 @@ class DriverSetPricingEngine(MarketplaceEngine):
         stale: bool,
     ) -> float:
         # The batched path precomputes surge inputs this pricing mode
-        # ignores; defer to the per-client lookup so the batch flag
-        # stays behaviour-neutral here too.
+        # ignores; defer to the per-client lookup so production and
+        # oracle serve the same multiplier here too.
         return self.observed_multiplier(account_id, location, car_type)
 
     # ------------------------------------------------------------------

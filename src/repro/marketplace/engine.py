@@ -23,55 +23,26 @@ supply (§3.3, Fig 9 caption).
 from __future__ import annotations
 
 import itertools
-import math
 import random
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.geo.index import AreaIndex, PointIndex
+from repro.geo.index import AreaIndex
 from repro.geo.latlon import EARTH_RADIUS_M, LatLon
 from repro.geo.regions import SurgeAreaDef
 from repro.marketplace.clock import SimClock
 from repro.marketplace.config import CityConfig
 from repro.marketplace.dispatch import Dispatcher
 from repro.marketplace.driver import Driver, DriverState, Trip
-from repro.marketplace.fleet_array import (
-    FleetArray,
-    RoundNearest,
-    ShardedFleetState,
-    _shm_attach_worker,
-)
+from repro.marketplace.fleet_array import FleetArray, RoundNearest
 from repro.marketplace.rider import DemandModel, RideRequest, _poisson
 from repro.marketplace.surge import SurgeEngine
 from repro.marketplace.jitter import JitterBug
 from repro.marketplace.types import FARE_TABLE, CarType
-from repro.parallel.partition import GridPartition, resolve_state_shards
-from repro.parallel.sharding import ShardPool, resolve_workers
-from repro.parallel.shm import ProcessShardPool, SharedArrayBlock
 
 METERS_PER_MILE = 1609.344
-
-
-def _release_parallel_resources(
-    block: Optional[SharedArrayBlock],
-    process_pool: Optional[ProcessShardPool],
-    thread_pool: Optional[ShardPool],
-) -> None:
-    """Tear down an engine's parallel machinery: worker pools first,
-    then the shared segment (workers must be gone before the creator
-    unmaps).  Runs from :meth:`MarketplaceEngine.close` or from the
-    engine's ``weakref.finalize`` — it must not reference the engine
-    itself, or the finalizer would keep it alive forever."""
-    if process_pool is not None:
-        process_pool.shutdown()
-    if thread_pool is not None:
-        thread_pool.shutdown()
-    if block is not None:
-        block.close()
-        block.unlink()
 
 
 @dataclass
@@ -110,126 +81,34 @@ class CompletedTrip:
 
 
 class MarketplaceEngine:
-    """Deterministic simulation of one city's ride-sharing marketplace."""
+    """Deterministic simulation of one city's ride-sharing marketplace.
+
+    Two implementations of one behaviour, chosen by
+    ``use_vectorized_step``:
+
+    * **production** (the default): fleet state in a numpy
+      :class:`FleetArray`, point→area lookups through an
+      :class:`AreaIndex`, and whole ping rounds answered by one
+      batched, serial ``serve_round`` pass;
+    * **oracle** (``use_vectorized_step=False``): ``Driver`` objects
+      stepped one by one, brute-force linear dispatch and area scans,
+      and one ``ping()`` per client — the readable reference the tests
+      hold the production path to.
+
+    The flag must only ever change speed: same-seed truth logs, trip
+    ledgers, ping replies, and RNG state are bit-identical on both
+    paths (tier-1 enforced, golden digest included).  The engine is
+    serial and starts no thread or process.
+    """
 
     def __init__(
         self,
         config: CityConfig,
         seed: int = 0,
-        use_spatial_index: bool = True,
         use_vectorized_step: bool = True,
-        use_batched_ping: bool = True,
-        use_parallel_ping: bool = True,
-        parallel_workers: Optional[int] = None,
-        use_sharded_state: bool = True,
-        state_shards: Optional[int] = None,
-        shard_executor: Optional[str] = None,
     ) -> None:
         self.config = config
-        self.use_spatial_index = use_spatial_index
         self.use_vectorized_step = use_vectorized_step
-        # Batched round serving (PingEndpoint.serve_round answers a whole
-        # fleet's ping round from one FleetArray.round_nearest pass).
-        # Like the other flags it must only ever change speed: all
-        # sixteen flag combinations produce bit-identical ping replies,
-        # truth logs, trip ledgers, and RNG state (enforced in tier-1 by
-        # the tests/test_perf_regression.py flag matrix).  It only takes
-        # effect on the vectorized step path; scalar engines serve
-        # per-client regardless (see round_query).
-        self.use_batched_ping = use_batched_ping
-        # Sharded round serving: the batched pass's per-(car type,
-        # location-block) distance kernels run on a worker thread pool
-        # (repro.parallel.sharding) and merge back in serial order —
-        # bit-identical by construction (read-only shared inputs,
-        # elementwise kernels, deterministic merge, no RNG on the
-        # serving path).  `parallel_workers` overrides
-        # config.parallel.workers; None resolves to min(4, cpu_count),
-        # so single-core machines stay on the serial path at zero cost.
-        # Only meaningful on top of the batched vectorized path.
-        self.use_parallel_ping = use_parallel_ping
-        resolved_workers = resolve_workers(
-            parallel_workers
-            if parallel_workers is not None
-            else config.parallel.workers
-        )
-        self.parallel_workers = resolved_workers
-        # Sharded fleet state: the tick's movement kernel (and the
-        # observe census) runs per spatial stripe (repro.parallel
-        # .partition + ShardedFleetState).  Shards are assigned by
-        # pre-move position, write disjoint rows of the shared arrays,
-        # and merge serially in ascending stripe order — bit-identical
-        # at every shard count because the kernel is elementwise and no
-        # shard ever consumes RNG (the ordered draw loop runs after the
-        # merge).  `state_shards` overrides config.parallel.state_shards;
-        # None resolves to min(4, cpu_count), so single-core machines
-        # keep the serial reference path at zero cost.  Only meaningful
-        # on the vectorized step path.
-        self.use_sharded_state = use_sharded_state
-        resolved_shards = resolve_state_shards(
-            state_shards
-            if state_shards is not None
-            else config.parallel.state_shards
-        )
-        self.state_shards = resolved_shards
-        # Stripe executor for the sharded state tick: "thread" (the
-        # default) runs stripes on the shared thread pool below;
-        # "process" runs them in worker processes over a shared-memory
-        # segment (repro.parallel.shm) — past-the-GIL scaling for
-        # 100k-driver metros.  A pure speed control like every other
-        # parallel knob: both executors reproduce the serial kernel
-        # bit for bit at every shard count (tier-1 enforced).
-        effective_executor = (
-            shard_executor
-            if shard_executor is not None
-            else config.parallel.shard_executor
-        )
-        if effective_executor not in ("thread", "process"):
-            raise ValueError(
-                "shard_executor must be 'thread' or 'process'"
-            )
-        self.shard_executor = effective_executor
-        # One thread pool serves both parallel layers.  Round serving
-        # and the sharded state tick never overlap (they are phases of
-        # one serial tick loop), so separate pools could only
-        # oversubscribe: two auto-configured 4-worker pools on a
-        # 4-core host would contend, not cooperate.  The shared pool is
-        # sized for the larger of the two demands.
-        want_ping_pool = (
-            use_parallel_ping
-            and use_batched_ping
-            and use_vectorized_step
-            and resolved_workers > 1
-        )
-        want_state_shards = (
-            use_vectorized_step and use_sharded_state and resolved_shards > 1
-        )
-        shared_pool: Optional[ShardPool] = (
-            ShardPool(
-                max(
-                    resolved_workers if want_ping_pool else 1,
-                    resolved_shards if want_state_shards else 1,
-                ),
-                min_elements=config.parallel.min_shard_elements,
-            )
-            if (want_ping_pool or want_state_shards)
-            else None
-        )
-        self._shard_pool: Optional[ShardPool] = (
-            shared_pool if want_ping_pool else None
-        )
-        self._state_pool: Optional[ShardPool] = (
-            shared_pool if want_state_shards else None
-        )
-        self._process_pool: Optional[ProcessShardPool] = None
-        # The per-driver PointIndex is only maintained on the scalar
-        # step path: the vectorized path answers nearest-k queries
-        # directly off the fleet arrays (identical (distance, id)
-        # ordering), so index upkeep there would be pure overhead.
-        # Like `use_spatial_index`, `use_vectorized_step` must only ever
-        # change speed: all four flag combinations produce bit-identical
-        # truth logs, trip ledgers, and ping replies (enforced in
-        # tier-1 by tests/test_perf_regression.py).
-        self._maintain_index = use_spatial_index and not use_vectorized_step
         self.rng = random.Random(seed)
         self.clock = SimClock(
             start_weekday=config.start_weekday, tick_seconds=5.0
@@ -255,53 +134,13 @@ class MarketplaceEngine:
         self._centroids: Dict[int, LatLon] = {
             a.area_id: a.polygon.centroid() for a in self._area_list
         }
-
-        # Spatial indexes over the two hot queries (point -> area and
-        # k-nearest idle driver).  Queries through them are pure reads
-        # with brute-force-identical ordering, so `use_spatial_index`
-        # only changes speed, never behaviour; the flag keeps the linear
-        # scans available for equivalence tests and benchmarks.
-        # Each per-type PointIndex holds exactly the *dispatchable*
-        # (idle) drivers of that type: membership is updated on
-        # online/offline transitions, on dispatch, and as trips
-        # complete, so queries need no predicate and never touch busy
-        # drivers.
-        box = config.region.bounding_box
-        ref_lat = (box.south + box.north) / 2.0
+        # Point→area lookups: a grid index on the production path, the
+        # brute first-match polygon scan on the oracle.  The index
+        # answers exactly like the scan, so the choice is speed only.
         self._area_index: Optional[AreaIndex] = (
             AreaIndex([(a.area_id, a.polygon) for a in self._area_list])
-            if use_spatial_index
+            if use_vectorized_step
             else None
-        )
-        # Cell size per type targets ~6 points per cell at full fleet
-        # (measured optimum for k=8 queries): the ring walk then
-        # touches tens of candidates over a handful of cells, and stays
-        # efficient from toy fleets to the scaled scenarios the
-        # benchmarks run.  (Cell size only affects speed, never
-        # results.)
-        width_m = (
-            math.radians(box.east - box.west)
-            * EARTH_RADIUS_M
-            * math.cos(math.radians(ref_lat))
-        )
-        height_m = math.radians(box.north - box.south) * EARTH_RADIUS_M
-        area_m2 = max(1.0, width_m * height_m)
-        self._driver_index: Dict[CarType, PointIndex] = (
-            {
-                car_type: PointIndex(
-                    cell_m=min(
-                        250.0,
-                        max(
-                            40.0,
-                            math.sqrt(area_m2 * 6.0 / max(1, count)),
-                        ),
-                    ),
-                    ref_lat=ref_lat,
-                )
-                for car_type, count in config.fleet.items()
-            }
-            if self._maintain_index
-            else {}
         )
 
         # Build the full driver pool (offline initially).
@@ -336,52 +175,8 @@ class MarketplaceEngine:
         # repro.marketplace.fleet_array).  Attaching the FleetArray
         # turns Driver.location into a lazy array-backed view.
         self._vec: Optional[FleetArray] = None
-        self._sharded: Optional[ShardedFleetState] = None
-        use_process = (
-            effective_executor == "process" and want_state_shards
-        )
         if use_vectorized_step:
-            # Process executor: the kernel arrays go into one
-            # shared-memory segment at construction so stripe worker
-            # processes mutate the very pages the engine reads.  The
-            # engine creates the segment and alone unlinks it (close()
-            # below, backed by a finalizer); workers only attach.
-            self._vec = FleetArray(self.drivers, shared=use_process)
-            if want_state_shards:
-                state_pool = self._state_pool
-                assert state_pool is not None
-                if use_process:
-                    block = self._vec.shm_block
-                    assert block is not None
-                    self._process_pool = ProcessShardPool(
-                        resolved_shards,
-                        initializer=_shm_attach_worker,
-                        initargs=(block.name, block.specs),
-                    )
-                self._sharded = ShardedFleetState(
-                    self._vec,
-                    GridPartition(
-                        box.south,
-                        box.north,
-                        box.west,
-                        box.east,
-                        resolved_shards,
-                    ),
-                    state_pool,
-                    min_shard_rows=config.parallel.min_shard_rows,
-                    process_pool=self._process_pool,
-                )
-            # Point→area resolution for the batched observe phase.  The
-            # AreaIndex answers exactly like the brute first-match
-            # polygon scan, so building one here is behaviour-neutral
-            # even in the `use_spatial_index=False` combination.
-            self._vec_area = (
-                self._area_index
-                if self._area_index is not None
-                else AreaIndex(
-                    [(a.area_id, a.polygon) for a in self._area_list]
-                )
-            )
+            self._vec = FleetArray(self.drivers)
             self._centroid_lat = np.array(
                 [c.lat for c in self._centroids.values()],
                 dtype=np.float64,
@@ -415,30 +210,14 @@ class MarketplaceEngine:
         # first simulated hours aren't an artificial cold start.
         self._seed_initial_supply()
 
-        # Resource lifecycle: close() tears down the worker pools and
-        # the shared segment; the finalizer runs the same teardown when
-        # an engine is merely dropped, so a GC'd (or crashed-out-of)
-        # engine never leaks a /dev/shm segment.  The callback holds
-        # the resources directly, never the engine.
-        self._finalizer = weakref.finalize(
-            self,
-            _release_parallel_resources,
-            self._vec.shm_block if self._vec is not None else None,
-            self._process_pool,
-            shared_pool,
-        )
-
     def close(self) -> None:
-        """Release the engine's parallel resources (idempotent).
+        """Release the engine's resources — a no-op, kept for callers.
 
-        Shuts the worker pools down and unlinks the shared-memory
-        segment (process executor).  The engine object itself remains
-        inspectable — truth logs, trips, drivers — but must not tick
-        again.  Dropping an engine without calling this is safe too:
-        the registered finalizer performs the identical teardown at
-        collection time.
+        The engine holds no thread, process, or shared-memory segment,
+        so there is nothing to release; dropping an engine is enough.
+        The method stays so code written against the closeable engine
+        keeps working.
         """
-        self._finalizer()
 
     # ------------------------------------------------------------------
     # Supply management
@@ -476,10 +255,6 @@ class MarketplaceEngine:
         )
         driver.come_online(self.clock.now, max(300.0, session), self.rng)
         self._online_by_type[car_type].append(driver)
-        if self._maintain_index:
-            self._driver_index[car_type].insert(
-                driver.driver_id, driver.location, driver
-            )
         if self._vec is not None:
             self._vec.on_online(driver, self.clock.now)
         return driver
@@ -512,12 +287,6 @@ class MarketplaceEngine:
         driver.go_offline()
         self._online_by_type[driver.car_type].remove(driver)
         self._offline_by_type[driver.car_type].append(driver)
-        if self._maintain_index:
-            # A driver signing off right after a dropoff was removed
-            # from the idle index when dispatched and never re-entered.
-            index = self._driver_index[driver.car_type]
-            if driver.driver_id in index:
-                index.remove(driver.driver_id)
         if self._vec is not None:
             self._vec.on_offline(driver)
 
@@ -566,10 +335,6 @@ class MarketplaceEngine:
                     self.clock.now, max(300.0, session), self.rng
                 )
                 self._online_by_type[car_type].append(driver)
-                if self._maintain_index:
-                    self._driver_index[car_type].insert(
-                        driver.driver_id, driver.location, driver
-                    )
                 if self._vec is not None:
                     self._vec.on_online(driver, self.clock.now)
                 restored += 1
@@ -584,20 +349,11 @@ class MarketplaceEngine:
         return self._area_id_brute(location)
 
     def _area_id_brute(self, location: LatLon) -> Optional[int]:
-        """Linear first-match scan (reference path for equivalence tests)."""
+        """Linear first-match scan (the oracle's area lookup)."""
         for area in self._area_list:
             if area.polygon.contains(location):
                 return area.area_id
         return None
-
-    def _index_for(self, car_type: CarType) -> Optional[PointIndex]:
-        """The live driver index for *car_type*, or None when the scans
-        are served another way (brute mode, or off the fleet arrays)."""
-        return (
-            self._driver_index.get(car_type)
-            if self._maintain_index
-            else None
-        )
 
     def true_multiplier(self, location: LatLon, car_type: CarType) -> float:
         """The multiplier billing actually uses (never jittered)."""
@@ -644,7 +400,6 @@ class MarketplaceEngine:
             location,
             car_type,
             k=k,
-            index=self._index_for(car_type),
         )
 
     def estimate_wait_minutes(
@@ -659,7 +414,6 @@ class MarketplaceEngine:
             self._online_by_type.get(car_type, ()),
             location,
             car_type,
-            index=self._index_for(car_type),
         )
         return None if est is None else est.minutes
 
@@ -711,21 +465,16 @@ class MarketplaceEngine:
         car_types: Optional[Iterable[CarType]] = None,
     ) -> Optional["RoundNearest"]:
         """Top-k nearest dispatchable rows for a whole round of ping
-        locations, or ``None`` when the batch path is unavailable.
+        locations, or ``None`` on the oracle.
 
-        Gated on ``use_batched_ping`` here (not in the API layer) so
-        the flag's behaviour lives next to the flag: when it is off —
-        or the engine runs the scalar step path and has no FleetArray —
-        callers fall back to per-client :meth:`nearest_cars_with_ewt`,
-        which produces bit-identical results (see
-        ``FleetArray.round_nearest``).  *car_types* limits the batch to
-        the types the round will serve.
+        The oracle has no FleetArray, so callers fall back to
+        per-client :meth:`nearest_cars_with_ewt`, which produces
+        bit-identical results (see ``FleetArray.round_nearest``).
+        *car_types* limits the batch to the types the round will serve.
         """
-        if not self.use_batched_ping or self._vec is None:
+        if self._vec is None:
             return None
-        return self._vec.round_nearest(
-            lats, lons, k, car_types, pool=self._shard_pool
-        )
+        return self._vec.round_nearest(lats, lons, k, car_types)
 
     def round_prefetch_views(self, rows: Sequence[int]) -> None:
         """Bulk-warm object-side caches for the rows a round will view.
@@ -744,12 +493,14 @@ class MarketplaceEngine:
         One vectorized point→area gather, identical per element to
         :meth:`area_id_of` (``AreaIndex.locate_codes`` reproduces the
         brute first-match scan exactly).  Only called on the batch path,
-        where ``_vec_area`` is always attached.
+        where the area index is always built.
         """
         area_list = self._area_list
         if not area_list:
             return [None] * int(lats.size)
-        codes = self._vec_area.locate_codes(lats, lons)
+        area_index = self._area_index
+        assert area_index is not None
+        codes = area_index.locate_codes(lats, lons)
         return [
             area_list[c].area_id if c >= 0 else None
             for c in codes.tolist()
@@ -884,12 +635,6 @@ class MarketplaceEngine:
             if driver is None:
                 truth.unfulfilled += 1
                 continue
-            if self._maintain_index:
-                # Booked: no longer dispatchable, leaves the idle index
-                # until the trip completes.
-                self._driver_index[request.car_type].remove(
-                    driver.driver_id
-                )
             if area_id is not None:
                 truth.fulfilled_by_area[area_id] = (
                     truth.fulfilled_by_area.get(area_id, 0) + 1
@@ -903,7 +648,7 @@ class MarketplaceEngine:
         The vectorized branch replicates :meth:`Dispatcher.dispatch`
         operation for operation — same nearest-1 ordering, same radius
         rule on the same distance float, same Trip — against the fleet
-        arrays instead of an object scan or PointIndex.
+        arrays instead of an object scan.
         """
         vec = self._vec
         if vec is None:
@@ -911,7 +656,6 @@ class MarketplaceEngine:
                 request,
                 self._online_by_type.get(request.car_type, ()),
                 now,
-                index=self._index_for(request.car_type),
             )
         res = vec.nearest_rows(request.pickup, request.car_type, 1)
         if not res:
@@ -936,9 +680,7 @@ class MarketplaceEngine:
             self._step_drivers_vec(now, dt)
             return
         decision_p = dt / self.config.driver.cruise_decision_s
-        use_index = self._maintain_index
-        for car_type, online in self._online_by_type.items():
-            index = self._driver_index[car_type] if use_index else None
+        for online in self._online_by_type.values():
             # Iterate over a copy: completions can trigger sign-off which
             # mutates the online list.
             for driver in list(online):
@@ -956,19 +698,6 @@ class MarketplaceEngine:
                 ):
                     self._take_offline(driver)
                     continue
-                if index is not None:
-                    # Sync idle-only membership with the state this step
-                    # produced: idle drivers track their move (cheap:
-                    # usually a same-cell update) and a just-completed
-                    # trip re-enters the pool; busy drivers were removed
-                    # at dispatch and stay out.
-                    if driver.state is DriverState.IDLE:
-                        if driver.driver_id in index:
-                            index.move(driver.driver_id, driver.location)
-                        else:
-                            index.insert(
-                                driver.driver_id, driver.location, driver
-                            )
                 if (
                     driver.state is DriverState.IDLE
                     and driver.cruise_target is None
@@ -995,12 +724,7 @@ class MarketplaceEngine:
         vec = self._vec
         rng = self.rng
         decision_p = dt / self.config.driver.cruise_decision_s
-        sharded = self._sharded
-        masks = (
-            sharded.begin_step(now, dt)
-            if sharded is not None
-            else vec.begin_step(now, dt)
-        )
+        masks = vec.begin_step(now, dt)
         wobble = masks.wobble
         cruise_arrived = masks.cruise_arrived
         completed = masks.completed
@@ -1178,21 +902,17 @@ class MarketplaceEngine:
         area-list order as the scalar loop.
         """
         vec = self._vec
-        sharded = self._sharded
+        area_index = self._area_index
+        assert vec is not None and area_index is not None
         area_list = self._area_list
         idle_x = vec.idle_rows(CarType.UBERX)
         if area_list:
-            if sharded is not None:
-                counts = sharded.area_counts(
-                    idle_x, self._vec_area, len(area_list)
-                )
-            else:
-                codes = self._vec_area.locate_codes(
-                    vec.lat[idle_x], vec.lon[idle_x]
-                )
-                counts = np.bincount(
-                    codes[codes >= 0], minlength=len(area_list)
-                )
+            codes = area_index.locate_codes(
+                vec.lat[idle_x], vec.lon[idle_x]
+            )
+            counts = np.bincount(
+                codes[codes >= 0], minlength=len(area_list)
+            )
             for i, area in enumerate(area_list):
                 area_id = area.area_id
                 count = int(counts[i])
@@ -1202,20 +922,15 @@ class MarketplaceEngine:
             if idle_x.size:
                 cla = self._centroid_lat
                 clo = self._centroid_lon
-                if sharded is not None:
-                    j, dmin = sharded.nearest_to_centroids(
-                        idle_x, cla, clo
-                    )
-                else:
-                    la = vec.lat[idle_x]
-                    lo = vec.lon[idle_x]
-                    x = np.radians(clo[:, None] - lo[None, :]) * np.cos(
-                        np.radians((la[None, :] + cla[:, None]) / 2.0)
-                    )
-                    y = np.radians(cla[:, None] - la[None, :])
-                    dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-                    j = np.argmin(dist, axis=1)
-                    dmin = dist[np.arange(len(area_list)), j]
+                la = vec.lat[idle_x]
+                lo = vec.lon[idle_x]
+                x = np.radians(clo[:, None] - lo[None, :]) * np.cos(
+                    np.radians((la[None, :] + cla[:, None]) / 2.0)
+                )
+                y = np.radians(cla[:, None] - la[None, :])
+                dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
+                j = np.argmin(dist, axis=1)
+                dmin = dist[np.arange(len(area_list)), j]
                 seconds = (
                     dmin / vec.speed[idle_x[j]]
                     + self.dispatcher.pickup_overhead_s

@@ -13,8 +13,9 @@ vectorized array operations per tick.
 
 **Bit-identity contract.**  ``use_vectorized_step`` must only ever change
 speed, never behaviour: same-seed ``IntervalTruth`` logs, trip ledgers,
-and ping replies are bit-identical to the scalar path (enforced by
-``tests/test_fleet_array.py`` and the tier-1 flag-matrix check).  Two
+and ping replies are bit-identical to the scalar oracle (enforced by
+``tests/test_fleet_array.py`` and the tier-1 production-vs-oracle
+checks).  Two
 design rules make that possible:
 
 * Every float the arrays produce is computed with the exact operation
@@ -52,19 +53,10 @@ read instead of mid-step.  City-scale regions cannot get near that.
 from __future__ import annotations
 
 import math
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geo.index import AreaIndex
 from repro.geo.latlon import EARTH_RADIUS_M, LatLon
 from repro.marketplace.driver import (
     PATH_VECTOR_LEN,
@@ -73,9 +65,6 @@ from repro.marketplace.driver import (
     Trip,
 )
 from repro.marketplace.types import CarType
-from repro.parallel.partition import GridPartition
-from repro.parallel.sharding import ShardPool, plan_shards
-from repro.parallel.shm import ArraySpec, ProcessShardPool, SharedArrayBlock
 
 #: Integer codes for :class:`DriverState` as stored in the state array.
 OFFLINE, IDLE, EN_ROUTE, ON_TRIP = 0, 1, 2, 3
@@ -96,239 +85,6 @@ _STATE_CODE = {
     DriverState.EN_ROUTE: EN_ROUTE,
     DriverState.ON_TRIP: ON_TRIP,
 }
-
-#: Every array the movement kernel (:func:`_move_rows_kernel` +
-#: :func:`_ring_append_rows`) reads or writes.  These — and only these
-#: — migrate into the shared segment when the process shard executor is
-#: selected; everything else (``planned_off``, the caches, the driver
-#: objects) is parent-only state the workers never see.
-_KERNEL_ARRAY_NAMES: Tuple[str, ...] = (
-    "lat",
-    "lon",
-    "state",
-    "speed",
-    "tgt_lat",
-    "tgt_lon",
-    "has_target",
-    "drop_lat",
-    "drop_lon",
-    "path_t",
-    "path_lat",
-    "path_lon",
-    "path_cnt",
-    "path_ver",
-    "stale_loc",
-    "stale_path",
-)
-
-
-def _shared_specs(n: int) -> Tuple[ArraySpec, ...]:
-    """Segment layout for an *n*-row fleet: the kernel arrays, the
-    three worker-written step masks, and the mover-row scratch the
-    parent fills with stripe row groups each tick."""
-    return (
-        ("lat", (n,), "float64"),
-        ("lon", (n,), "float64"),
-        ("state", (n,), "int8"),
-        ("speed", (n,), "float64"),
-        ("tgt_lat", (n,), "float64"),
-        ("tgt_lon", (n,), "float64"),
-        ("has_target", (n,), "bool"),
-        ("drop_lat", (n,), "float64"),
-        ("drop_lon", (n,), "float64"),
-        ("path_t", (n, PATH_VECTOR_LEN), "float64"),
-        ("path_lat", (n, PATH_VECTOR_LEN), "float64"),
-        ("path_lon", (n, PATH_VECTOR_LEN), "float64"),
-        ("path_cnt", (n,), "int64"),
-        ("path_ver", (n,), "int64"),
-        ("stale_loc", (n,), "bool"),
-        ("stale_path", (n,), "bool"),
-        ("mask_cruise_arrived", (n,), "bool"),
-        ("mask_completed", (n,), "bool"),
-        ("mask_idle_like", (n,), "bool"),
-        ("mv_scratch", (n,), "int64"),
-    )
-
-
-class MoveArrays(Protocol):
-    """The array namespace the movement kernel operates on.
-
-    :class:`FleetArray` satisfies it directly (the serial and threaded
-    paths pass ``self``); worker processes satisfy it with
-    :class:`_ShmArrays`, a bare namespace of views over the attached
-    shared segment.  Keeping the kernel duck-typed over this protocol
-    is what makes executor bit-identity structural: there is exactly
-    one kernel body, whatever memory backs the arrays.
-    """
-
-    lat: np.ndarray
-    lon: np.ndarray
-    state: np.ndarray
-    speed: np.ndarray
-    tgt_lat: np.ndarray
-    tgt_lon: np.ndarray
-    has_target: np.ndarray
-    drop_lat: np.ndarray
-    drop_lon: np.ndarray
-    path_t: np.ndarray
-    path_lat: np.ndarray
-    path_lon: np.ndarray
-    path_cnt: np.ndarray
-    path_ver: np.ndarray
-    stale_loc: np.ndarray
-    stale_path: np.ndarray
-
-
-def _ring_append_rows(
-    arrays: MoveArrays, rows: np.ndarray, now: float
-) -> None:
-    """Append one path-ring entry for every row in *rows*."""
-    slots = arrays.path_cnt[rows] % PATH_VECTOR_LEN
-    arrays.path_t[rows, slots] = now
-    arrays.path_lat[rows, slots] = arrays.lat[rows]
-    arrays.path_lon[rows, slots] = arrays.lon[rows]
-    arrays.path_cnt[rows] += 1
-    arrays.path_ver[rows] += 1
-    arrays.stale_path[rows] = True
-
-
-def _move_rows_kernel(
-    arrays: MoveArrays,
-    mv: np.ndarray,
-    now: float,
-    dt: float,
-    masks: "StepMasks",
-) -> bool:
-    """The movement kernel over mover rows *mv* (non-empty).
-
-    Exactly the body :meth:`FleetArray._move_rows` documents — see
-    there for the concurrency contract.  Every write lands only on
-    rows in *mv*; the namespace is duck-typed (:class:`MoveArrays`) so
-    the serial path, thread shards, and shared-memory worker processes
-    all execute this one body over their respective array bindings.
-    """
-    st = arrays.state
-    has_tgt = arrays.has_target
-    lat = arrays.lat
-    lon = arrays.lon
-    la = lat[mv]
-    lo = lon[mv]
-    tla = arrays.tgt_lat[mv]
-    tlo = arrays.tgt_lon[mv]
-    # equirectangular_m(location, target), vectorized verbatim.
-    x = np.radians(tlo - lo) * np.cos(np.radians((la + tla) / 2.0))
-    y = np.radians(tla - la)
-    dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-    st_mv = st[mv]
-    idle_mv = st_mv == IDLE
-    step = np.where(
-        idle_mv,
-        arrays.speed[mv] * (dt * 0.5),
-        arrays.speed[mv] * dt,
-    )
-    arrived = (dist <= step) | (dist <= 1.0)
-    frac = step / np.where(arrived, 1.0, dist)
-    lat[mv] = np.where(arrived, tla, la + (tla - la) * frac)
-    lon[mv] = np.where(arrived, tlo, lo + (tlo - lo) * frac)
-    any_done = False
-    arr_rows = mv[arrived]
-    if arr_rows.size:
-        st_arr = st_mv[arrived]
-        pickup = arr_rows[st_arr == EN_ROUTE]
-        if pickup.size:
-            st[pickup] = ON_TRIP
-            arrays.tgt_lat[pickup] = arrays.drop_lat[pickup]
-            arrays.tgt_lon[pickup] = arrays.drop_lon[pickup]
-        done = arr_rows[st_arr == ON_TRIP]
-        if done.size:
-            st[done] = IDLE
-            masks.completed[done] = True
-            any_done = True
-        ca = arr_rows[st_arr == IDLE]
-        if ca.size:
-            has_tgt[ca] = False
-            masks.cruise_arrived[ca] = True
-    masks.idle_like[mv[idle_mv]] = True
-    _ring_append_rows(arrays, mv, now)
-    arrays.stale_loc[mv] = True
-    return any_done
-
-
-class _ShmArrays:
-    """Worker-side :class:`MoveArrays` namespace over attached views."""
-
-    lat: np.ndarray
-    lon: np.ndarray
-    state: np.ndarray
-    speed: np.ndarray
-    tgt_lat: np.ndarray
-    tgt_lon: np.ndarray
-    has_target: np.ndarray
-    drop_lat: np.ndarray
-    drop_lon: np.ndarray
-    path_t: np.ndarray
-    path_lat: np.ndarray
-    path_lon: np.ndarray
-    path_cnt: np.ndarray
-    path_ver: np.ndarray
-    stale_loc: np.ndarray
-    stale_path: np.ndarray
-
-    def __init__(self, views: Dict[str, np.ndarray]) -> None:
-        for name in _KERNEL_ARRAY_NAMES:
-            setattr(self, name, views[name])
-
-
-class _ShmWorkerState:
-    """Everything a stripe worker process holds between tasks: the
-    attached block, the kernel namespace, the shared step masks, and
-    the mover-row scratch the parent fills per tick."""
-
-    __slots__ = ("block", "arrays", "masks", "mv")
-
-    def __init__(self, block: SharedArrayBlock) -> None:
-        self.block = block
-        self.arrays = _ShmArrays(block.arrays)
-        # ``wobble`` is engine-only (the kernel never touches it); a
-        # zero-length placeholder keeps the StepMasks shape.
-        self.masks = StepMasks(
-            np.zeros(0, dtype=bool),
-            block.arrays["mask_cruise_arrived"],
-            block.arrays["mask_completed"],
-            block.arrays["mask_idle_like"],
-        )
-        self.mv = block.arrays["mv_scratch"]
-
-
-#: Per-worker attached state, set once by the pool initializer.
-_SHM_WORKER: Optional[_ShmWorkerState] = None
-
-
-def _shm_attach_worker(name: str, specs: Sequence[ArraySpec]) -> None:
-    """:class:`~repro.parallel.shm.ProcessShardPool` initializer:
-    attach the fleet's shared segment once per worker process (without
-    a resource-tracker registration — only the creator unlinks; see
-    ``repro.parallel.shm``)."""
-    global _SHM_WORKER
-    _SHM_WORKER = _ShmWorkerState(SharedArrayBlock.attach(name, specs))
-
-
-def _shm_move_worker(r0: int, r1: int, now: float, dt: float) -> bool:
-    """One stripe's movement task in a worker process.
-
-    The parent wrote this stripe's mover rows into
-    ``mv_scratch[r0:r1]``; the kernel then runs over the attached
-    views — the very pages the parent sees — and returns the
-    any-trip-completed bit, the only thing that crosses back by value.
-    """
-    state = _SHM_WORKER
-    if state is None:
-        raise RuntimeError(
-            "shared-memory worker used before _shm_attach_worker ran"
-        )
-    mv = state.mv[r0:r1]
-    return _move_rows_kernel(state.arrays, mv, now, dt, state.masks)
-
 
 class StepMasks:
     """Boolean row masks produced by :meth:`FleetArray.begin_step`.
@@ -412,9 +168,7 @@ class FleetArray:
     driver's row never changes and per-type row sets are static.
     """
 
-    def __init__(
-        self, drivers: Sequence[Driver], shared: bool = False
-    ) -> None:
+    def __init__(self, drivers: Sequence[Driver]) -> None:
         n = len(drivers)
         self.n = n
         self.drivers = list(drivers)
@@ -488,30 +242,6 @@ class FleetArray:
             self.state[i] = _STATE_CODE[d.state]
             d._fleet = self
             d._row = i
-
-        #: Shared-memory backing for the kernel arrays (process shard
-        #: executor only); ``None`` keeps the plain heap allocation
-        #: above.  Created here, unlinked by the engine's close path —
-        #: see ``repro.parallel.shm`` for the lifetime rules.
-        self.shm_block: Optional[SharedArrayBlock] = None
-        if shared:
-            self._adopt_shared_block()
-
-    def _adopt_shared_block(self) -> None:
-        """Migrate the kernel-hot arrays into one shared segment.
-
-        The SoA layout is unchanged — every attribute keeps its name,
-        shape, and dtype — only the backing memory moves, so every
-        consumer (the kernel, the ping queries, the lazy object sync)
-        is oblivious.  Current contents are copied in, making the
-        migration safe whenever it runs.
-        """
-        block = SharedArrayBlock.create(_shared_specs(self.n))
-        for name in _KERNEL_ARRAY_NAMES:
-            view = block.arrays[name]
-            view[...] = getattr(self, name)
-            setattr(self, name, view)
-        self.shm_block = block
 
     # ------------------------------------------------------------------
     # Lazy object sync
@@ -757,68 +487,64 @@ class FleetArray:
         does.  Arrivals trigger the batched transitions; all movers get
         their path-ring append.  Returns the masks the engine's ordered
         RNG loop consumes.
-
-        The kernel itself lives in :meth:`_move_rows` so
-        :class:`ShardedFleetState` can run it per spatial shard over
-        disjoint row sets; this entry point is the serial reference
-        (one shard covering every mover).
         """
         self._version += 1
-        masks, mv = self._step_masks()
-        if mv.size and self._move_rows(mv, now, dt, masks):
-            self._idle_rows.clear()
-        return masks
-
-    def _step_masks(self) -> Tuple[StepMasks, np.ndarray]:
-        """Classify every row for this tick: the (empty) step masks the
-        movement kernel fills in, plus the mover rows it must visit."""
         st = self.state
         has_tgt = self.has_target
         idle = st == IDLE
         wobble = idle & ~has_tgt
+        n = self.n
+        masks = StepMasks(
+            wobble,
+            np.zeros(n, dtype=bool),
+            np.zeros(n, dtype=bool),
+            wobble.copy(),
+        )
         mv = np.nonzero((st == EN_ROUTE) | (st == ON_TRIP) | (idle & has_tgt))[0]
-        block = self.shm_block
-        if block is None:
-            n = self.n
-            cruise_arrived = np.zeros(n, dtype=bool)
-            completed = np.zeros(n, dtype=bool)
-            idle_like = wobble.copy()
-        else:
-            # Shared-memory mode: the three worker-written masks live
-            # in the segment so stripe processes fill the same buffers
-            # the engine's ordered loop reads.  Zeroing a persistent
-            # buffer equals a fresh ``np.zeros`` bit for bit; ``wobble``
-            # itself is engine-only and stays on the heap.
-            shared = block.arrays
-            cruise_arrived = shared["mask_cruise_arrived"]
-            cruise_arrived[:] = False
-            completed = shared["mask_completed"]
-            completed[:] = False
-            idle_like = shared["mask_idle_like"]
-            idle_like[:] = wobble
-        return StepMasks(wobble, cruise_arrived, completed, idle_like), mv
-
-    def _move_rows(
-        self, mv: np.ndarray, now: float, dt: float, masks: StepMasks
-    ) -> bool:
-        """The movement kernel over mover rows *mv* (non-empty).
-
-        Safe to run concurrently over disjoint ``mv`` subsets: every
-        write — positions, states, targets, masks, path rings,
-        staleness — lands only on rows in *mv* (8-byte-aligned numpy
-        slots, so disjoint row sets never tear), every elementwise
-        float is identical however the rows are blocked, and the shared
-        caches (``_idle_rows``, ``_struct``) are *not* touched here:
-        the caller clears them serially when the returned
-        any-trip-completed bit says so.
-
-        The body lives in the module-level :func:`_move_rows_kernel` so
-        worker *processes* can run the identical code over an attached
-        shared segment — ``FleetArray`` satisfies :class:`MoveArrays`
-        structurally, and there is exactly one kernel body whatever
-        memory backs the arrays.
-        """
-        return _move_rows_kernel(self, mv, now, dt, masks)
+        if not mv.size:
+            return masks
+        lat = self.lat
+        lon = self.lon
+        la = lat[mv]
+        lo = lon[mv]
+        tla = self.tgt_lat[mv]
+        tlo = self.tgt_lon[mv]
+        # equirectangular_m(location, target), vectorized verbatim.
+        x = np.radians(tlo - lo) * np.cos(np.radians((la + tla) / 2.0))
+        y = np.radians(tla - la)
+        dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
+        st_mv = st[mv]
+        idle_mv = st_mv == IDLE
+        step = np.where(
+            idle_mv,
+            self.speed[mv] * (dt * 0.5),
+            self.speed[mv] * dt,
+        )
+        arrived = (dist <= step) | (dist <= 1.0)
+        frac = step / np.where(arrived, 1.0, dist)
+        lat[mv] = np.where(arrived, tla, la + (tla - la) * frac)
+        lon[mv] = np.where(arrived, tlo, lo + (tlo - lo) * frac)
+        arr_rows = mv[arrived]
+        if arr_rows.size:
+            st_arr = st_mv[arrived]
+            pickup = arr_rows[st_arr == EN_ROUTE]
+            if pickup.size:
+                st[pickup] = ON_TRIP
+                self.tgt_lat[pickup] = self.drop_lat[pickup]
+                self.tgt_lon[pickup] = self.drop_lon[pickup]
+            done = arr_rows[st_arr == ON_TRIP]
+            if done.size:
+                st[done] = IDLE
+                masks.completed[done] = True
+                self._idle_rows.clear()
+            ca = arr_rows[st_arr == IDLE]
+            if ca.size:
+                has_tgt[ca] = False
+                masks.cruise_arrived[ca] = True
+        masks.idle_like[mv[idle_mv]] = True
+        self._ring_append(mv, now)
+        self.stale_loc[mv] = True
+        return masks
 
     def apply_offset(self, r: int, north_m: float, east_m: float) -> None:
         """Apply one wobble offset immediately (scalar ``LatLon.offset``
@@ -860,7 +586,14 @@ class FleetArray:
         self._version += 1
 
     def _ring_append(self, rows: np.ndarray, now: float) -> None:
-        _ring_append_rows(self, rows, now)
+        """Append one path-ring entry for every row in *rows*."""
+        slots = self.path_cnt[rows] % PATH_VECTOR_LEN
+        self.path_t[rows, slots] = now
+        self.path_lat[rows, slots] = self.lat[rows]
+        self.path_lon[rows, slots] = self.lon[rows]
+        self.path_cnt[rows] += 1
+        self.path_ver[rows] += 1
+        self.stale_path[rows] = True
 
     # ------------------------------------------------------------------
     # Vectorized queries
@@ -931,8 +664,7 @@ class FleetArray:
         self, location: LatLon, car_type: CarType, k: int
     ) -> List[Tuple[float, int]]:
         """The k nearest idle rows as ``(distance_m, row)``, ordered by
-        ``(distance, driver_id)`` exactly like the brute scan and the
-        PointIndex query.
+        ``(distance, driver_id)`` exactly like the brute scan.
 
         A `pingClient` reply queries every car type from one location,
         so distances to *all* dispatchable rows are evaluated in a
@@ -974,55 +706,12 @@ class FleetArray:
             order = cand[np.argsort(d[cand], kind="stable")][:k]
         return list(zip(d[order].tolist(), rows[order].tolist()))
 
-    @staticmethod
-    def _shard_topk(
-        lats: np.ndarray,
-        lons: np.ndarray,
-        la_all: np.ndarray,
-        lo_all: np.ndarray,
-        s0: int,
-        s1: int,
-        r0: int,
-        r1: int,
-        k: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One shard of a round's nearest-k pass: ping-location rows
-        [r0:r1) against dispatchable-struct columns [s0:s1).
-
-        Pure function of read-only inputs — the worker threads of a
-        :class:`~repro.parallel.sharding.ShardPool` run it concurrently.
-        Elementwise ufuncs give the same float for the same element
-        whatever the blocking, and the per-row stable argsort never
-        looks across rows, so any shard decomposition reproduces the
-        whole-matrix result bit for bit.  Returns ``(distances,
-        order)`` with *order* relative to the segment (the caller maps
-        it onto absolute rows).
-        """
-        la = la_all[None, s0:s1]
-        lo = lo_all[None, s0:s1]
-        lats_col = lats[r0:r1, None]
-        lons_col = lons[r0:r1, None]
-        # equirectangular_m, vectorized verbatim (elementwise, so
-        # each matrix entry equals the per-query 1-D evaluation).
-        x = np.radians(lons_col - lo) * np.cos(
-            np.radians((la + lats_col) / 2.0)
-        )
-        y = np.radians(lats_col - la)
-        sub = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-        # Stable argsort orders by (distance, segment position) =
-        # (distance, driver id); its first k are the per-query
-        # partition+cut+stable-sort winners, tie-break included.
-        order = np.argsort(sub, axis=1, kind="stable")[:, :k]
-        d_sel = np.take_along_axis(sub, order, axis=1)
-        return d_sel, order
-
     def round_nearest(
         self,
         lats: np.ndarray,
         lons: np.ndarray,
         k: int,
         car_types: Optional[Iterable[CarType]] = None,
-        pool: Optional[ShardPool] = None,
     ) -> RoundNearest:
         """Batch :meth:`nearest_rows` over one round of ping locations.
 
@@ -1038,15 +727,6 @@ class FleetArray:
         *car_types* restricts the work to the types the round will
         actually serve (a type-restricted measurement fleet only needs
         one segment); ``None`` computes every type.
-
-        With *pool* set (``use_parallel_ping``), the per-type matrices
-        are decomposed into per-(car type, location-block) shards
-        (:func:`~repro.parallel.sharding.plan_shards`) executed on the
-        pool's worker threads — the :meth:`_shard_topk` kernels release
-        the GIL — and merged back in the serial pass's (car type,
-        location) order.  Shard outputs are bit-identical to the
-        unsharded pass, so the flag only ever changes speed; rounds too
-        small to amortize a dispatch (``pool.min_elements``) run inline.
         """
         per_type: Dict[
             CarType, Tuple[List[List[float]], List[List[int]]]
@@ -1054,72 +734,31 @@ class FleetArray:
         if k <= 0 or lats.size == 0:
             return RoundNearest(per_type)
         _, rows_all, bounds, la_all, lo_all = self._dispatchable_struct()
-        if rows_all.size == 0:
-            return RoundNearest(per_type)
-        wanted_items = (
+        wanted = (
             list(bounds.items())
             if car_types is None
-            else [
-                (ct, bounds[ct]) for ct in car_types if ct in bounds
-            ]
+            else [(ct, bounds[ct]) for ct in car_types if ct in bounds]
         )
-        wanted = [
-            (ct, s0, s1) for ct, (s0, s1) in wanted_items if s1 > s0
-        ]
-        if not wanted:
-            return RoundNearest(per_type)
-        n_loc = int(lats.size)
-        sizes = [s1 - s0 for _, s0, s1 in wanted]
-        use_pool = (
-            pool is not None
-            and pool.workers > 1
-            and n_loc * sum(sizes) >= pool.min_elements
-        )
-        if use_pool:
-            assert pool is not None
-            shards = plan_shards(
-                n_loc, sizes, pool.workers, pool.min_elements
-            )
-        else:
-            # Serial: one whole-matrix shard per segment (the exact
-            # work plan_shards emits for a single worker).
-            shards = [
-                (i, 0, m, 0, n_loc) for i, m in enumerate(sizes)
-            ]
-        tasks = [
-            (
-                lats,
-                lons,
-                la_all,
-                lo_all,
-                wanted[seg_i][1] + c0,
-                wanted[seg_i][1] + c1,
-                r0,
-                r1,
-                k,
-            )
-            for seg_i, c0, c1, r0, r1 in shards
-        ]
-        if use_pool:
-            assert pool is not None
-            results = pool.map_ordered(self._shard_topk, tasks)
-        else:
-            results = [self._shard_topk(*task) for task in tasks]
-        # Deterministic merge: shards are segment-major in location
-        # order, so concatenating each segment's blocks rebuilds the
-        # whole-matrix selection exactly as the serial pass emits it.
+        lats_col = lats[:, None]
+        lons_col = lons[:, None]
         served: List[np.ndarray] = []
-        pos = 0
-        for seg_i, (ct, s0, s1) in enumerate(wanted):
-            blocks = []
-            while pos < len(shards) and shards[pos][0] == seg_i:
-                blocks.append(results[pos])
-                pos += 1
-            if len(blocks) == 1:
-                d_sel, order = blocks[0]
-            else:
-                d_sel = np.concatenate([b[0] for b in blocks], axis=0)
-                order = np.concatenate([b[1] for b in blocks], axis=0)
+        for ct, (s0, s1) in wanted:
+            if s1 <= s0:
+                continue
+            la = la_all[None, s0:s1]
+            lo = lo_all[None, s0:s1]
+            # equirectangular_m, vectorized verbatim (elementwise, so
+            # each matrix entry equals the per-query 1-D evaluation).
+            x = np.radians(lons_col - lo) * np.cos(
+                np.radians((la + lats_col) / 2.0)
+            )
+            y = np.radians(lats_col - la)
+            dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
+            # Stable argsort orders by (distance, segment position) =
+            # (distance, driver id); its first k are the per-query
+            # partition+cut+stable-sort winners, tie-break included.
+            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            d_sel = np.take_along_axis(dist, order, axis=1)
             rows_sel = rows_all[s0:s1][order]
             served.append(rows_sel.ravel())
             per_type[ct] = (d_sel.tolist(), rows_sel.tolist())
@@ -1157,206 +796,3 @@ class FleetArray:
         ) % 360.0
         return out
 
-
-class ShardedFleetState:
-    """Spatially sharded ticking over one :class:`FleetArray`.
-
-    The serial tick (:meth:`FleetArray.begin_step`) runs the movement
-    kernel over every mover at once; this facade splits the movers into
-    per-grid-block row shards (:class:`~repro.parallel.partition.GridPartition`,
-    assignment by *pre-move* position) and runs :meth:`FleetArray._move_rows`
-    per shard on a :class:`~repro.parallel.sharding.ShardPool`, over the
-    very same shared numpy arrays.
-
-    **Why bit-identity survives state sharding.**  The kernel is
-    elementwise per mover row — every float it writes for row *r*
-    depends only on row *r*'s slots — and shards write disjoint row
-    sets of 8-byte-aligned arrays, so no write can tear or race.
-    Cross-shard *events* never happen inside the kernel: a mover that
-    crosses a stripe border mid-tick still belongs to the shard of its
-    pre-move position (exactly the rows the serial kernel would have
-    advanced), dispatch across borders runs in the engine's serial
-    phase over the whole fleet, and the RNG-consuming minority is
-    handled by the engine's ordered loop *after* the merge — the
-    PR 2 draw-order contract is untouched because no shard ever draws.
-    The only cross-shard reconciliation is the deterministic serial
-    merge below: shard results gather in ascending stripe order
-    (``ShardPool.map_ordered``), and the shared caches are cleared once
-    by the caller, never from worker threads.
-
-    The observe-phase helpers (:meth:`area_counts`,
-    :meth:`nearest_to_centroids`) shard the per-tick supply census the
-    same way: pure reads per shard, then an order-invariant integer sum
-    (counts) and a lexicographic ``(distance, column)`` min-merge that
-    reproduces ``np.argmin``'s first-occurrence tie-break exactly.
-    """
-
-    __slots__ = ("fleet", "partition", "pool", "min_shard_rows", "process_pool")
-
-    def __init__(
-        self,
-        fleet: FleetArray,
-        partition: GridPartition,
-        pool: ShardPool,
-        min_shard_rows: int = 2048,
-        process_pool: Optional[ProcessShardPool] = None,
-    ) -> None:
-        if min_shard_rows < 1:
-            raise ValueError("min_shard_rows must be >= 1")
-        if process_pool is not None and fleet.shm_block is None:
-            raise ValueError(
-                "process shard executor requires a shared-memory fleet "
-                "(FleetArray(..., shared=True))"
-            )
-        self.fleet = fleet
-        self.partition = partition
-        # The thread pool always remains: single-stripe ticks, and the
-        # observe-phase helpers below, whose per-shard closures cannot
-        # cross a process boundary (and need not — they are pure reads
-        # the GIL-releasing ufuncs already parallelize).
-        self.pool = pool
-        self.min_shard_rows = min_shard_rows
-        #: When set, multi-stripe movement runs in worker processes
-        #: over the fleet's shared segment instead of on the thread
-        #: pool (``shard_executor="process"``).
-        self.process_pool = process_pool
-
-    def begin_step(self, now: float, dt: float) -> StepMasks:
-        """Sharded :meth:`FleetArray.begin_step`: same masks, same
-        array state, concurrent kernel."""
-        fleet = self.fleet
-        fleet._version += 1
-        masks, mv = fleet._step_masks()
-        if not mv.size:
-            return masks
-        groups = (
-            self.partition.split_rows(mv, fleet.lat, fleet.lon)
-            if mv.size >= self.min_shard_rows
-            else [mv]
-        )
-        if len(groups) == 1:
-            done = fleet._move_rows(groups[0], now, dt, masks)
-        elif self.process_pool is not None:
-            done = self._move_rows_process(groups, now, dt)
-        else:
-            results = self.pool.map_ordered(
-                fleet._move_rows,
-                [(rows, now, dt, masks) for rows in groups],
-            )
-            done = any(results)
-        if done:
-            fleet._idle_rows.clear()
-        return masks
-
-    def _move_rows_process(
-        self, groups: List[np.ndarray], now: float, dt: float
-    ) -> bool:
-        """Run the stripe kernels in worker processes.
-
-        The masks from :meth:`FleetArray._step_masks` already live in
-        the shared segment (shared-memory fleets put them there), so a
-        task crossing the process boundary is five scalars: the stripe's
-        ``[r0, r1)`` slice of the ``mv_scratch`` row buffer the parent
-        fills here, plus ``now``/``dt``.  Workers return only the
-        any-trip-completed bit; every array write happens in place on
-        the shared pages, in the same disjoint row sets as the thread
-        path — which is why the executor swap is bit-invisible.
-        """
-        fleet = self.fleet
-        block = fleet.shm_block
-        pool = self.process_pool
-        assert block is not None and pool is not None  # ctor-enforced
-        scratch = block.arrays["mv_scratch"]
-        tasks: List[Tuple[int, int, float, float]] = []
-        cursor = 0
-        for rows in groups:
-            end = cursor + rows.size
-            scratch[cursor:end] = rows
-            tasks.append((cursor, end, now, dt))
-            cursor = end
-        return any(pool.map_ordered(_shm_move_worker, tasks))
-
-    def _split_positions(self, rows: np.ndarray) -> List[np.ndarray]:
-        """Positions *into rows* per shard (ascending within each
-        shard), by current position; empty shards dropped."""
-        fleet = self.fleet
-        codes = self.partition.assign(fleet.lat[rows], fleet.lon[rows])
-        return [
-            pos
-            for s in range(self.partition.shards)
-            for pos in (np.nonzero(codes == s)[0],)
-            if pos.size
-        ]
-
-    def area_counts(
-        self, rows: np.ndarray, area_index: AreaIndex, n_areas: int
-    ) -> np.ndarray:
-        """Per-area count of *rows* (``locate_codes`` + ``bincount``),
-        sharded.
-
-        Each shard gathers its own point→area codes (a pure read of the
-        index) and bins them; integer addition is order-invariant, so
-        the summed histogram equals the serial one exactly.  (The
-        index's lazy label-code table may be built by more than one
-        shard on first use — a benign duplicate producing identical
-        tables.)
-        """
-        fleet = self.fleet
-
-        def one(pos: np.ndarray) -> np.ndarray:
-            sub = rows[pos]
-            codes = area_index.locate_codes(fleet.lat[sub], fleet.lon[sub])
-            return np.bincount(codes[codes >= 0], minlength=n_areas)
-
-        if rows.size < self.min_shard_rows:
-            return one(np.arange(rows.size))
-        groups = self._split_positions(rows)
-        if len(groups) == 1:
-            return one(groups[0])
-        counts = self.pool.map_ordered(one, [(pos,) for pos in groups])
-        return np.sum(counts, axis=0)
-
-    def nearest_to_centroids(
-        self,
-        rows: np.ndarray,
-        c_lat: np.ndarray,
-        c_lon: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-centroid nearest column of *rows*, sharded.
-
-        Returns ``(j, dmin)`` exactly as the serial
-        ``np.argmin(dist, axis=1)`` / ``dist[arange, j]`` pair over the
-        full centroids × rows matrix: each shard computes its column
-        block of the matrix (elementwise — each entry depends only on
-        one centroid and one row), takes its own first-occurrence
-        argmin, and the serial merge picks per centroid the
-        lexicographically smallest ``(distance, column)`` candidate —
-        which is the whole-matrix first minimum, whatever stripe it
-        lives in (ties across shards included).
-        """
-        fleet = self.fleet
-
-        def one(pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            sub = rows[pos]
-            la = fleet.lat[sub]
-            lo = fleet.lon[sub]
-            x = np.radians(c_lon[:, None] - lo[None, :]) * np.cos(
-                np.radians((la[None, :] + c_lat[:, None]) / 2.0)
-            )
-            y = np.radians(c_lat[:, None] - la[None, :])
-            dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-            j = np.argmin(dist, axis=1)
-            return pos[j], dist[np.arange(len(c_lat)), j]
-
-        if rows.size < self.min_shard_rows:
-            return one(np.arange(rows.size))
-        groups = self._split_positions(rows)
-        if len(groups) == 1:
-            return one(groups[0])
-        parts = self.pool.map_ordered(one, [(pos,) for pos in groups])
-        cand_j = np.stack([j for j, _ in parts])
-        cand_d = np.stack([d for _, d in parts])
-        dmin = cand_d.min(axis=0)
-        at_min = cand_d == dmin[None, :]
-        j = np.where(at_min, cand_j, np.iinfo(np.int64).max).min(axis=0)
-        return j, dmin

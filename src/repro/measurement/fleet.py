@@ -153,13 +153,12 @@ class Fleet:
         data-cleaning of partial first days (§4.1).
 
         **Threading contract: single-threaded per campaign.**  One
-        campaign = one thread driving this loop.  The parallel layer
-        parallelizes *below* it (``use_parallel_ping`` shards the
-        distance kernels inside ``serve_round``, invisible here) and
-        *above* it (:func:`repro.parallel.run_sweep` runs whole
-        campaigns in separate processes, each with its own Fleet) —
-        never across it.  Campaign-level mutable state (the log, client
-        sample memories, any attached
+        campaign = one thread driving this loop, and the engine it
+        drives is serial too.  The parallel layer parallelizes only
+        *above* it (:func:`repro.parallel.orchestrator.run_sweep` runs
+        whole campaigns in separate processes, each with its own
+        Fleet) — never across it.  Campaign-level mutable state (the
+        log, client sample memories, any attached
         :class:`~repro.measurement.scheduler.RequestScheduler`) is
         therefore only ever touched from the campaign's own thread;
         the scheduler additionally locks its budget accounting in case

@@ -47,15 +47,14 @@ class RequestScheduler:
 
     **Thread safety.**  Budget accounting (:meth:`account_for`,
     :meth:`total_spent`) is guarded by a lock: the parallel layer runs
-    round-serving shards on engine worker threads and whole campaigns
-    on worker processes, and while neither currently calls into a
-    scheduler off the campaign's own thread (see :meth:`Fleet.run
-    <repro.measurement.fleet.Fleet.run>`), spend tracking is exactly
-    the kind of read-modify-write state a future threaded probe driver
-    would corrupt silently — the lock makes the invariant structural
-    instead of conventional.  Lock-free reads of planning methods
-    (:meth:`plan`, :meth:`make_accounts`) stay lock-free: they touch no
-    mutable state.
+    whole campaigns on worker processes, and while nothing currently
+    calls into a scheduler off the campaign's own thread (see
+    :meth:`Fleet.run <repro.measurement.fleet.Fleet.run>`), spend
+    tracking is exactly the kind of read-modify-write state a future
+    threaded probe driver would corrupt silently — the lock makes the
+    invariant structural instead of conventional.  Lock-free reads of
+    planning methods (:meth:`plan`, :meth:`make_accounts`) stay
+    lock-free: they touch no mutable state.
     """
 
     def __init__(

@@ -1,93 +1,23 @@
-"""Parallel execution layer: sharded round serving + campaign sweeps.
+"""Parallel execution layer: independent campaigns across processes and
+hosts.
 
-Two coordinated pieces, both pure speed — never behaviour:
-
-* :mod:`repro.parallel.sharding` — a worker thread pool
-  (:class:`ShardPool`) that executes the per-(fleet, car-type) distance
-  kernels of a batched ping round concurrently.  The numpy kernels
-  release the GIL, each shard's floats are computed with the exact
-  elementwise arithmetic of the serial pass, and the merge reassembles
-  results in the serial path's order — so ``use_parallel_ping`` joins
-  the engine's bit-identity flag matrix (``use_spatial_index`` ×
-  ``use_vectorized_step`` × ``use_batched_ping`` × ``use_parallel_ping``,
-  sixteen combos, all bit-identical; tier-1 enforced).
-
-* :mod:`repro.parallel.partition` — the deterministic stripe grid
-  (:class:`GridPartition`) that cuts the fleet's own state arrays into
-  per-grid-block row shards so :class:`ShardedFleetState` (in
-  ``repro.marketplace.fleet_array``) can run the movement kernel of a
-  tick concurrently.  Assignment is by *pre-move* position, the merge
-  visits shards in ascending stripe order, and the kernel is
-  elementwise — so ``use_sharded_state`` joins the same bit-identity
-  flag matrix at every shard count (tier-1 enforced for counts
-  {1, 2, 4, 7}).
+The engine itself is serial; parallelism lives *above* one campaign,
+never inside it:
 
 * :mod:`repro.parallel.orchestrator` — a process-pool runner for
   *independent* campaigns (multi-seed replications, dual-city runs,
   ablation sweeps): per-campaign seeding, structured JSON-serializable
   results (truth digests + metrics), crash isolation with per-campaign
   error capture, and a deterministic merge ordered by campaign key.
-  Exposed as ``repro measure --jobs N`` and the :func:`run_sweep` API
-  the benchmarks adopt.
+  Exposed as ``repro measure --jobs N`` and the
+  :func:`~repro.parallel.orchestrator.run_sweep` API the benchmarks
+  adopt.
 
 * :mod:`repro.parallel.cluster` (+ :mod:`repro.parallel.wire`) — the
   multi-host extension of the orchestrator: an asyncio TCP
   dispatcher/worker pair (``repro measure --workers`` /
-  ``repro worker``) that distributes the same :class:`CampaignSpec`s
-  over length-prefixed canonical-JSON frames and merges
-  :class:`CampaignOutcome`s in spec order, byte-identical to a local
-  :func:`run_sweep` — including requeue-on-death with exactly-once
-  merge (tier-1 enforced).
+  ``repro worker``) that distributes the same ``CampaignSpec``s over
+  length-prefixed canonical-JSON frames and merges ``CampaignOutcome``s
+  in spec order, byte-identical to a local ``run_sweep`` — including
+  requeue-on-death with exactly-once merge (tier-1 enforced).
 """
-
-from typing import Any
-
-from repro.parallel.partition import GridPartition, resolve_state_shards
-from repro.parallel.sharding import ShardPool, plan_shards, resolve_workers
-
-__all__ = [
-    "GridPartition",
-    "ShardPool",
-    "plan_shards",
-    "resolve_state_shards",
-    "resolve_workers",
-    # orchestrator/cluster names are re-exported lazily below to keep
-    # the marketplace -> sharding import light (the engine imports this
-    # package; the orchestrator imports the engine).
-    "CampaignSpec",
-    "CampaignOutcome",
-    "run_sweep",
-    "execute_campaign",
-    "truth_digest",
-    "ensure_unique_keys",
-    "SweepDispatcher",
-    "ClusterWorker",
-    "run_cluster_sweep",
-]
-
-_ORCHESTRATOR_NAMES = frozenset(
-    {
-        "CampaignSpec",
-        "CampaignOutcome",
-        "run_sweep",
-        "execute_campaign",
-        "truth_digest",
-        "ensure_unique_keys",
-    }
-)
-
-_CLUSTER_NAMES = frozenset(
-    {"SweepDispatcher", "ClusterWorker", "run_cluster_sweep"}
-)
-
-
-def __getattr__(name: str) -> Any:  # pragma: no cover - lazy re-export
-    if name in _ORCHESTRATOR_NAMES:
-        from repro.parallel import orchestrator
-
-        return getattr(orchestrator, name)
-    if name in _CLUSTER_NAMES:
-        from repro.parallel import cluster
-
-        return getattr(cluster, name)
-    raise AttributeError(name)

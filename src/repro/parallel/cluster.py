@@ -61,8 +61,8 @@ from repro.parallel.orchestrator import (
     CampaignSpec,
     ensure_unique_keys,
     execute_campaign,
+    resolve_workers,
 )
-from repro.parallel.sharding import resolve_workers
 
 #: Assignment attempts per spec before the dispatcher gives up and
 #: synthesizes a structured failure outcome.
@@ -440,8 +440,7 @@ class ClusterWorker:
     """Run campaigns for a dispatcher over one or many sessions.
 
     Wraps :func:`execute_campaign` behind a local executor (by default
-    a :class:`ProcessPoolExecutor` of ``jobs`` workers, so the PR 9
-    shared-memory shard machinery composes underneath unchanged).  One
+    a :class:`ProcessPoolExecutor` of ``jobs`` workers).  One
     ``next`` is pulled per free slot; outcomes stream back as they
     finish.  A broken executor is rebuilt and reported per campaign —
     never propagated to the session.

@@ -29,18 +29,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.marketplace.config import CityConfig, manhattan_config, sf_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.measurement.fleet import Fleet, MarketplaceWorld
 from repro.measurement.placement import place_clients
-from repro.parallel.sharding import resolve_workers
+
+#: Default cap on worker processes when ``jobs`` is left unset: enough
+#: to fill a typical workstation, small enough not to oversubscribe
+#: small CI boxes.
+DEFAULT_WORKER_CAP = 4
 
 #: City name -> config factory, the same names ``repro measure --city``
 #: accepts.  Factories take the jitter probability.
@@ -48,6 +53,20 @@ CITY_CONFIGS: Dict[str, Callable[[float], CityConfig]] = {
     "manhattan": lambda jitter: manhattan_config(jitter_probability=jitter),
     "sf": lambda jitter: sf_config(jitter_probability=jitter),
 }
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Effective worker count for a sweep's process pool.
+
+    ``None`` picks ``min(DEFAULT_WORKER_CAP, cpu_count)`` — parallel by
+    default on multi-core machines, sequential (1) on single-core ones.
+    An explicit count is honoured as given.
+    """
+    if workers is None:
+        return max(1, min(DEFAULT_WORKER_CAP, os.cpu_count() or 1))
+    if workers < 1:
+        raise ValueError("parallel workers must be >= 1")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -70,12 +89,6 @@ class CampaignSpec:
     #: Save the campaign log here (JSON lines; ``.gz`` compresses).
     #: ``None`` keeps the run digest-only — nothing hits disk.
     out: Optional[str] = None
-    #: Engine perf-flag overrides as ``(name, value)`` pairs, e.g.
-    #: ``(("use_parallel_ping", False),)``.  Restricted to the engine's
-    #: ``use_*`` flags plus ``parallel_workers`` / ``state_shards`` /
-    #: ``shard_executor``; anything else is a spec error (reported as a
-    #: structured outcome, not a crash).
-    engine_flags: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.key:
@@ -118,20 +131,6 @@ class CampaignOutcome:
         payload = asdict(self)
         del payload["wall_s"]
         return payload
-
-
-_ALLOWED_FLAGS = frozenset(
-    {
-        "use_spatial_index",
-        "use_vectorized_step",
-        "use_batched_ping",
-        "use_parallel_ping",
-        "parallel_workers",
-        "use_sharded_state",
-        "state_shards",
-        "shard_executor",
-    }
-)
 
 
 def truth_digest(engine: MarketplaceEngine) -> str:
@@ -194,14 +193,8 @@ def execute_campaign(spec: CampaignSpec) -> CampaignOutcome:
                 f"unknown city {spec.city!r} "
                 f"(use one of {sorted(CITY_CONFIGS)})"
             )
-        flags = dict(spec.engine_flags)
-        unknown = sorted(set(flags) - _ALLOWED_FLAGS)
-        if unknown:
-            raise ValueError(f"unknown engine flags: {unknown}")
         config = factory(spec.jitter)
-        engine = MarketplaceEngine(
-            config, seed=spec.seed, **cast(Dict[str, Any], flags)
-        )
+        engine = MarketplaceEngine(config, seed=spec.seed)
         positions = place_clients(
             config.region, max_clients=spec.max_clients
         )
@@ -225,7 +218,6 @@ def execute_campaign(spec: CampaignSpec) -> CampaignOutcome:
             "trips_completed": float(len(engine.completed_trips)),
         }
         digest = truth_digest(engine)
-        engine.close()
         return CampaignOutcome(
             key=spec.key,
             ok=True,
@@ -266,7 +258,7 @@ def run_sweep(
 ) -> List[CampaignOutcome]:
     """Execute independent campaigns, one outcome per spec, spec order.
 
-    ``jobs=None`` resolves like the shard pool's worker count
+    ``jobs=None`` resolves through :func:`resolve_workers`
     (``min(4, cpu_count)``); ``jobs=1`` — or a single spec — runs
     sequentially in-process, which is also the bit-identity reference
     the parallel path must match.  Worker crashes that kill the process

@@ -21,8 +21,7 @@ Message vocabulary (all frames are JSON objects with a ``type`` key):
 
 Codec invariants:
 
-* ``spec_from_wire(spec_to_wire(s)) == s`` exactly (``engine_flags``
-  round-trips list-of-pairs <-> tuple-of-tuples).
+* ``spec_from_wire(spec_to_wire(s)) == s`` exactly.
 * ``outcome_from_wire`` tolerates payloads without ``wall_s`` so old
   recorded outcomes stay loadable (schema is backward-compatible).
 * Frames above :data:`MAX_FRAME_BYTES` are refused on both sides —
@@ -33,14 +32,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.api.serialize import canonical_json
 from repro.parallel.orchestrator import CampaignOutcome, CampaignSpec
 
 #: Bump on any incompatible message/codec change; ``hello`` carries it
 #: and the dispatcher refuses mismatched workers instead of guessing.
-PROTOCOL_VERSION = 1
+#: Version 2 dropped the spec's ``engine_flags`` field.
+PROTOCOL_VERSION = 2
 
 #: Hard cap on one frame.  Outcomes are digest + scalar metrics
 #: (campaign logs go to disk on the worker via ``spec.out``), so a
@@ -165,16 +165,12 @@ def spec_to_wire(spec: CampaignSpec) -> Dict[str, Any]:
         "jitter": spec.jitter,
         "max_clients": spec.max_clients,
         "out": spec.out,
-        "engine_flags": [[name, value] for name, value in spec.engine_flags],
     }
 
 
 def spec_from_wire(payload: Dict[str, Any]) -> CampaignSpec:
     """Inverse of :func:`spec_to_wire`; raises :class:`WireError`."""
     try:
-        flags: Tuple[Tuple[str, object], ...] = tuple(
-            (str(pair[0]), pair[1]) for pair in payload["engine_flags"]
-        )
         return CampaignSpec(
             key=str(payload["key"]),
             city=str(payload["city"]),
@@ -189,9 +185,8 @@ def spec_from_wire(payload: Dict[str, Any]) -> CampaignSpec:
                 else int(payload["max_clients"])
             ),
             out=None if payload["out"] is None else str(payload["out"]),
-            engine_flags=flags,
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"malformed spec payload: {exc}") from exc
 
 

@@ -2,7 +2,7 @@
 
 Lives under a ``marketplace/`` directory because REP006 scopes itself to
 the marketplace package — engine speed flags are the ones bound by the
-four-way bit-identity matrix.
+production-vs-oracle bit-identity check.
 """
 
 

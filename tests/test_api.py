@@ -309,14 +309,6 @@ class TestServeRound:
     def test_empty_round(self, warm_engine):
         assert PingEndpoint(warm_engine).serve_round([]) == []
 
-    def test_flag_off_declines_batch_query(self, center):
-        engine = MarketplaceEngine(
-            toy_config(), seed=11, use_batched_ping=False
-        )
-        lats = np.array([center.lat])
-        lons = np.array([center.lon])
-        assert engine.round_query(lats, lons, 8) is None
-
     def test_scalar_engine_declines_batch_query(self, center):
         # No FleetArray -> no distance matrix to batch over; serve_round
         # must fall back to the per-client path and still answer.

@@ -24,6 +24,47 @@ class TestParser:
                 ["measure", "--city", "tokyo", "--out", "x"]
             )
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["measure", "--hours", "0"], "--hours"),
+            (["measure", "--warmup-hours", "-1"], "--warmup-hours"),
+            (["measure", "--ping-interval", "0"], "--ping-interval"),
+            (["measure", "--jitter", "1.5"], "--jitter"),
+            (["measure", "--seeds", "1,2", "--jobs", "-3"], "--jobs"),
+            (["measure", "--seeds", "1,x"], "--seeds"),
+            (["measure", "--max-attempts", "0",
+              "--workers", "127.0.0.1:9"], "--max-attempts"),
+            (["measure", "--spec-timeout", "-1",
+              "--workers", "127.0.0.1:9"], "--spec-timeout"),
+            (["worker", "--jobs", "0", "--connect", "127.0.0.1:9"],
+             "--jobs"),
+        ],
+        ids=[
+            "hours-zero", "warmup-negative", "ping-interval-zero",
+            "jitter-above-one", "jobs-negative", "seeds-not-integers",
+            "max-attempts-zero", "spec-timeout-negative",
+            "worker-jobs-zero",
+        ],
+    )
+    def test_malformed_numbers_are_usage_errors(self, argv, flag, capsys):
+        """Out-of-range or unparsable numbers stop at the parser with a
+        usage error naming the flag (exit 2) — never a traceback from
+        deep inside a campaign, and never a silently clamped run."""
+        if argv[0] == "measure":
+            argv = argv + ["--out", "x.jsonl"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_serve_defaults_parse(self):
+        args = build_parser().parse_args(["serve"])
+        assert (args.city, args.hour, args.seed, args.jitter) == (
+            "sf", 9.0, 2015, 0.25
+        )
+        assert args.coalesce_ms == 2.0
+
 
 class TestEndToEnd:
     def test_measure_then_analyze(self, tmp_path, capsys):

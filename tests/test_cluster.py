@@ -171,7 +171,7 @@ def test_encode_frame_rejects_oversized_payload():
 def test_spec_codec_roundtrips_exactly():
     spec = _tiny_spec(
         "codec", seed=11, out="logs/a.jsonl.gz",
-        engine_flags=(("use_parallel_ping", True), ("state_shards", 3)),
+        warmup_hours=0.5, ping_interval_s=15.0, jitter=0.0,
     )
     assert wire.spec_from_wire(wire.spec_to_wire(spec)) == spec
     bare = _tiny_spec("bare")
@@ -185,7 +185,7 @@ def test_spec_codec_rejects_malformed_payloads():
     for mutilate in (
         lambda p: p.pop("key"),
         lambda p: p.update(seed="not-a-number"),
-        lambda p: p.update(engine_flags=[["lonely"]]),
+        lambda p: p.update(max_clients="lots"),
         lambda p: p.update(key=""),
     ):
         payload = json.loads(json.dumps(good))
@@ -480,8 +480,9 @@ class TestProtocolDiscipline:
             handler = asyncio.create_task(
                 dispatcher.handle_connection(ra, wa)
             )
+            # A version-1 peer (specs still carried engine_flags).
             wire.write_frame(
-                wb, {"type": wire.MSG_HELLO, "protocol": 99, "jobs": 1}
+                wb, {"type": wire.MSG_HELLO, "protocol": 1, "jobs": 1}
             )
             wire.write_frame(wb, wire.next_message())
             await wb.drain()

@@ -114,28 +114,6 @@ class TestDeterminism:
             != [t.multipliers for t in b.truth]
         )
 
-    def test_spatial_index_flag_is_behaviour_free(self):
-        """Same seed, index on vs off ⇒ bit-identical worlds.
-
-        The spatial index is a pure acceleration structure; if it ever
-        changes a dispatch choice, an EWT, or an rng draw, every
-        downstream analysis silently forks.  Compare the full
-        IntervalTruth log, the trip ledger, and the rng stream itself.
-        """
-        def run(flag):
-            engine = MarketplaceEngine(
-                toy_config(jitter_probability=0.2),
-                seed=13,
-                use_spatial_index=flag,
-            )
-            engine.run(2 * 3600.0)
-            return engine
-
-        indexed, brute = run(True), run(False)
-        assert indexed.truth == brute.truth
-        assert indexed.completed_trips == brute.completed_trips
-        assert indexed.rng.random() == brute.rng.random()
-
     def test_zero_surge_areas_engine_still_ticks(self):
         """No surge polygons (driver-set-pricing city) must not crash.
 

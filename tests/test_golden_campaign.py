@@ -25,7 +25,6 @@ ever migrates platforms, regenerate.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import statistics
@@ -39,7 +38,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / (
 )
 
 from repro.analysis.report import audit_campaign
-from repro.marketplace.config import ParallelParams, sf_config
+from repro.marketplace.config import sf_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.measurement.fleet import Fleet, MarketplaceWorld
@@ -59,15 +58,10 @@ MAX_CLIENTS = 6
 def run_golden_campaign(**engine_kwargs):
     """The pinned campaign, end to end; returns (engine, log, report).
 
-    ``engine_kwargs`` lets the shard-count sweep force
-    ``state_shards``; forced counts also drop the shard-row floor to 1
-    so the pool path really runs at this campaign's scale.
+    ``engine_kwargs`` go to the engine (``use_vectorized_step=False``
+    runs the campaign on the oracle).
     """
     cfg = sf_config(jitter_probability=0.25)
-    if engine_kwargs.get("state_shards"):
-        cfg = dataclasses.replace(
-            cfg, parallel=ParallelParams(min_shard_rows=1)
-        )
     engine = MarketplaceEngine(cfg, seed=SEED, **engine_kwargs)
     fleet = Fleet(
         place_clients(cfg.region, max_clients=MAX_CLIENTS),
@@ -146,7 +140,6 @@ def build_digest(**engine_kwargs) -> dict:
         "truth": _truth_payload(engine),
         "report": _report_scalars(engine, report),
     }
-    engine.close()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return {
         "digest": hashlib.sha256(blob.encode("ascii")).hexdigest(),
@@ -183,26 +176,18 @@ def test_golden_campaign_digest_unchanged():
 
 
 @pytest.mark.parametrize(
-    "shards,executor",
-    [(s, "thread") for s in (1, 2, 4, 7)]
-    + [(s, "process") for s in (2, 7)],
+    "vectorized", [True, False], ids=["production", "oracle"]
 )
-def test_golden_digest_unchanged_at_every_shard_count(shards, executor):
-    """``use_sharded_state`` must not move the golden digest at any
-    shard count *or* executor: the spatial partition of the tick (and
-    the forced pool merge at counts > 1) is pure speed, never
-    behaviour — whether the stripes run on the thread pool or in
-    shared-memory worker processes.  Count 1 pins that the serial
-    reference path is itself the golden behaviour."""
+def test_golden_digest_on_both_engines(vectorized):
+    """Both engines reproduce the golden digest: the production path
+    (arrays, area index, batched serving) and the oracle (Driver
+    objects, brute scans, per-client pings).  The oracle pins that the
+    readable reference is itself the golden behaviour, so the
+    production path is held to it bit for bit."""
     golden = json.loads(GOLDEN_PATH.read_text())
-    current = build_digest(
-        use_sharded_state=True,
-        state_shards=shards,
-        shard_executor=executor,
-    )
-    label = f"{shards} shards / {executor}"
-    assert current["report"] == golden["report"], label
-    assert current["digest"] == golden["digest"], label
+    current = build_digest(use_vectorized_step=vectorized)
+    assert current["report"] == golden["report"]
+    assert current["digest"] == golden["digest"]
 
 
 def test_golden_campaign_is_nontrivial():

@@ -224,14 +224,15 @@ class TestRoundScheduling:
 class TestBatchedRoundCampaign:
     def test_campaign_identical_with_and_without_batching(self):
         """A whole campaign — samples, car maps, truth log, RNG state —
-        is bit-identical whether rounds are served batched or per
-        client (the measurement-side view of the flag contract)."""
+        is bit-identical whether rounds are served batched by the
+        production engine or per client by the oracle (the
+        measurement-side view of the engine contract)."""
         engines, logs = [], []
-        for use_batched_ping in (True, False):
+        for use_vectorized_step in (True, False):
             engine = MarketplaceEngine(
                 toy_config(jitter_probability=0.3),
                 seed=23,
-                use_batched_ping=use_batched_ping,
+                use_vectorized_step=use_vectorized_step,
             )
             fleet = Fleet(
                 place_clients(engine.config.region, radius_m=300.0),
@@ -257,6 +258,7 @@ class TestBatchedRoundCampaign:
             r.cars for r in per_client.rounds
         ]
         assert engines[0].truth == engines[1].truth
+        assert engines[0].completed_trips == engines[1].completed_trips
         assert engines[0].rng.getstate() == engines[1].rng.getstate()
 
 

@@ -8,9 +8,9 @@ not permitted.  The load on these tests is the transport *contract*:
 * routes, status codes, and error bodies;
 * HTTP 429 + ``Retry-After`` for over-budget accounts (§3.2);
 * **byte-identity**: every payload served over the transport equals the
-  canonical encoding of the in-process result, across the full
-  performance-flag matrix (the bit-identity contract extended across a
-  socket);
+  canonical encoding of the in-process result, on the production
+  engine and on the oracle (the bit-identity contract extended across
+  a socket);
 * round coalescing: concurrent pings collapse into one
   ``serve_round`` batch without changing any reply.
 """
@@ -155,37 +155,25 @@ class TestRateLimitContract:
                     assert "error" not in ws.receive_json()
 
 
-FLAG_MATRIX = [
-    # (use_spatial_index, use_vectorized_step, use_batched_ping,
-    #  use_parallel_ping)
-    (True, True, True, True),
-    (True, True, True, False),
-    (True, True, False, False),
-    (True, False, False, False),
-    (False, True, True, True),
-    (False, True, True, False),
-    (False, True, False, False),
-    (False, False, False, False),
-]
+def _warm_engine(vectorized: bool) -> MarketplaceEngine:
+    engine = MarketplaceEngine(
+        toy_config(jitter_probability=0.3),
+        seed=23,
+        use_vectorized_step=vectorized,
+    )
+    engine.run(600.0)
+    return engine
 
 
 class TestTransportByteIdentity:
-    """Socket payloads == canonical encoding of in-process results,
-    across the performance-flag matrix."""
+    """Socket payloads == canonical encoding of in-process results, on
+    the production engine and on the oracle."""
 
     @pytest.mark.parametrize(
-        "spatial,vectorized,batched,parallel", FLAG_MATRIX
+        "vectorized", [True, False], ids=["production", "oracle"]
     )
-    def test_flag_matrix(self, spatial, vectorized, batched, parallel):
-        engine = MarketplaceEngine(
-            toy_config(jitter_probability=0.3),
-            seed=23,
-            use_spatial_index=spatial,
-            use_vectorized_step=vectorized,
-            use_batched_ping=batched,
-            use_parallel_ping=parallel,
-        )
-        engine.run(600.0)
+    def test_flag_matrix(self, vectorized):
+        engine = _warm_engine(vectorized)
         center = engine.config.region.bounding_box.center
         edge = center.offset(300.0, -200.0)
         service = MarketplaceService(engine)
@@ -193,6 +181,9 @@ class TestTransportByteIdentity:
         # fresh memos — identity must not depend on shared caches.
         reference_ping = PingEndpoint(engine)
         reference_rest = RestApi(engine, RateLimiter())
+        # The other engine, same seed and instant: the served bytes
+        # must not depend on which engine produced them either.
+        twin_ping = PingEndpoint(_warm_engine(not vectorized))
         with AsgiTestClient(service) as client:
             with client.websocket("/v1/ping") as ws:
                 ws.send_json(
@@ -207,6 +198,9 @@ class TestTransportByteIdentity:
                     reference_ping.ping("idacct", center)
                 )
                 assert wire == expected
+                assert wire == serialize.encode_ping_reply(
+                    twin_ping.ping("idacct", center)
+                )
                 # A restricted ping, same session.
                 ws.send_json(
                     {
@@ -221,6 +215,9 @@ class TestTransportByteIdentity:
                     reference_ping.ping("idacct", edge, [CarType.UBERX])
                 )
                 assert wire == expected
+                assert wire == serialize.encode_ping_reply(
+                    twin_ping.ping("idacct", edge, [CarType.UBERX])
+                )
 
             response = client.get(_price_target("idacct", center, edge))
             assert response.status == 200
