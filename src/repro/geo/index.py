@@ -58,6 +58,13 @@ _RING_SAFETY = 0.995
 #: Label of grid cells that a polygon boundary passes through.
 _BOUNDARY = object()
 
+#: Degrees (~0.1 mm) by which a cell is widened on every side before
+#: edges are tested against it.  Cell bounds are rebuilt by float
+#: arithmetic (``lon0 + ix * dlon``), so they can miss the grid's true
+#: edge, or the cell ``locate`` maps a point to, by a few ulps; an edge
+#: lying in that sliver must still make the cell a boundary cell.
+_CELL_PAD_DEG = 1e-9
+
 #: Populations at or below this size answer k-nearest queries with a
 #: direct scan; the expanding-ring walk only pays off once buckets are
 #: meaningfully occupied.
@@ -461,6 +468,11 @@ class AreaIndex:
     def _classify_cell(
         self, x0: float, y0: float, x1: float, y1: float
     ) -> Any:
+        centre = LatLon((y0 + y1) / 2.0, (x0 + x1) / 2.0)
+        x0 -= _CELL_PAD_DEG
+        y0 -= _CELL_PAD_DEG
+        x1 += _CELL_PAD_DEG
+        y1 += _CELL_PAD_DEG
         for _, poly in self._areas:
             bb = poly.bounding_box
             if bb.east < x0 or bb.west > x1 or bb.north < y0 or bb.south > y1:
@@ -474,9 +486,8 @@ class AreaIndex:
                 ):
                     return _BOUNDARY
                 j = i
-        # No boundary inside the closed cell: containment is constant
+        # No boundary inside the padded cell: containment is constant
         # across it, so the centre speaks for every point.
-        centre = LatLon((y0 + y1) / 2.0, (x0 + x1) / 2.0)
         for key, poly in self._areas:
             if poly.contains(centre):
                 return key

@@ -10,6 +10,7 @@ off-grid queries, and overlapping polygons.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,30 @@ class TestAreaIndexMatchesBruteForce:
                     None,
                 )
                 assert index.locate(vertex) == expected
+
+    def test_far_grid_corner_is_a_boundary_cell(self):
+        """Float-rebuilt cell bounds fall an ulp short of the grid edge.
+
+        The top-right vertex sits on that edge; ray casting leaves it
+        outside, so its cell must not be labelled with the area.
+        """
+        south, north = 40.76036839380743, 40.770462548382305
+        west, east = -74.0, -73.99582346632819
+        poly = Polygon(
+            [
+                LatLon(south, west),
+                LatLon(south, east),
+                LatLon(north, east),
+                LatLon(north, west),
+            ]
+        )
+        index = AreaIndex([(0, poly)], cell_m=300.0)
+        corner = LatLon(north, east)
+        assert not poly.contains(corner)
+        assert index.locate(corner) is None
+        assert index.locate_batch(
+            np.array([north]), np.array([east])
+        ) == [None]
 
     def test_empty_area_set(self):
         index = AreaIndex([])
