@@ -7,8 +7,8 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-concurrency typecheck test bench-quick serve-bench \
-	bench-cluster coverage check
+.PHONY: lint lint-concurrency typecheck test perfbench-selftest \
+	bench-quick serve-bench bench-cluster coverage check
 
 ## Both lint passes (determinism REP001-REP006 + concurrency
 ## REP101-REP105) over the source tree.
@@ -35,6 +35,13 @@ typecheck:
 ## and golden-digest tests.
 test:
 	$(PY) -m pytest -x -q
+
+## The repo benchmark's self-test (perfbench/): builds each workload's
+## truth digest and reply hashes from the source tree and proves the
+## checks catch one altered log line and one altered reply byte.  It
+## calls into src by name, so a rename or deletion there fails here.
+perfbench-selftest:
+	$(PY) perfbench/run.py --self-test
 
 ## Quick perf bench: the production engine against the oracle
 ## (use_vectorized_step on/off) and batched against per-client ping

@@ -75,58 +75,9 @@ class PingEndpoint(PingServer):
             raise ValueError("nearest_k must be positive")
         self.engine = engine
         self.nearest_k = nearest_k
-        # Per-driver CarView memo.  A car's served view only changes
-        # when it moves (every step builds a fresh LatLon object) or
-        # re-identifies (new session token), but a whole fleet of
-        # clients observes it between moves; building the frozen view
-        # once per change serves every observer from the cache.  Swept
-        # against live session tokens (see _sweep_departed) so week-
-        # scale campaigns don't accumulate views of departed identities.
-        self._views: Dict[int, CarView] = {}
 
     def current_time(self) -> float:
         return self.engine.clock.now
-
-    def _sweep_departed(self) -> None:
-        """Evict memoized views whose public identity is gone.
-
-        Every driver death/re-identification strands the old token's
-        view in the memo; unswept, a week-scale campaign grows it with
-        each of those events.  Amortized: only runs once the memo
-        outgrows twice the online fleet.  Behaviour-neutral — every
-        evicted entry fails the freshness check in :meth:`_view_for`
-        and would be rebuilt before serving anyway.
-        """
-        views = self._views
-        engine = self.engine
-        online = sum(
-            engine.online_count(car_type)
-            for car_type in engine.config.fleet
-        )
-        if len(views) <= 2 * online + 16:
-            return
-        stale = [
-            driver_id
-            for driver_id, view in views.items()
-            if engine.driver_by_id(driver_id).session_token != view.car_id
-        ]
-        for driver_id in stale:
-            del views[driver_id]
-
-    def _view_for(self, driver) -> CarView:
-        view = self._views.get(driver.driver_id)
-        if (
-            view is None
-            or view.car_id != driver.session_token
-            or view.location is not driver.location
-        ):
-            view = CarView(
-                car_id=driver.session_token,
-                location=driver.location,
-                path=driver.path_triples(),
-            )
-            self._views[driver.driver_id] = view
-        return view
 
     def ping(
         self,
@@ -135,11 +86,9 @@ class PingEndpoint(PingServer):
         car_types: Optional[Sequence[CarType]] = None,
     ) -> PingReply:
         engine = self.engine
-        self._sweep_departed()
         if car_types is None:
             car_types = list(engine.config.fleet)
         statuses = []
-        view_for = self._view_for
         for car_type in car_types:
             # One spatial query serves both the car list and the EWT.
             nearest, ewt = engine.nearest_cars_with_ewt(
@@ -150,7 +99,9 @@ class PingEndpoint(PingServer):
             # such car into one colliding ID, corrupting the unique-car
             # supply counts and death-based demand estimates (§3.3).
             cars = tuple(
-                view_for(d) for d in nearest if d.session_token
+                CarView(d.session_token, d.location, d.path_triples())
+                for d in nearest
+                if d.session_token
             )
             statuses.append(
                 TypeStatus(
@@ -174,17 +125,18 @@ class PingEndpoint(PingServer):
         """One vectorized pass over a whole lock-step round.
 
         One distance matrix per (fleet, car type) against every ping
-        location (:meth:`MarketplaceEngine.round_query`), one batched
-        point→area gather, and per-account jitter staleness resolved
-        once per round — instead of N independent :meth:`ping` calls
-        re-deriving all three.  Serial, on the calling thread.
+        location (:meth:`MarketplaceEngine.round_query`), one gather of
+        the served cars' positions and path triples from the fleet
+        arrays, one batched point→area gather, and per-account jitter
+        staleness resolved once per round — instead of N independent
+        :meth:`ping` calls re-deriving all of it.  Serial, on the
+        calling thread.
         Reply-for-reply bit-identical to the per-client path (the
         production-against-oracle tests enforce it); falls back to it
         when the engine declines the batch query (the oracle engine,
         ``use_vectorized_step=False``).
         """
         engine = self.engine
-        self._sweep_departed()
         if not requests:
             return []
         lats = np.array(
@@ -225,19 +177,23 @@ class PingEndpoint(PingServer):
         area_ids = engine.round_area_ids(lats, lons)
         now = engine.clock.now
         drivers = engine.drivers
-        # The engine does not advance while a round is served, so one
-        # freshness check per served driver covers the whole round —
-        # the per-(location, type, rank) lookups below are then plain
-        # dict hits.  Tokenless drivers get no entry: a driver with no
-        # session token has no public identity and is filtered exactly
-        # as in ping().
+        # The engine does not advance while a round is served, so each
+        # served car's view is built once per round, from the position
+        # and path triples the batch gathered for it and the session
+        # token on its Driver; the per-(location, type, rank) lookups
+        # below are then plain dict hits.  Tokenless drivers get no
+        # entry: a driver with no session token has no public identity
+        # and is filtered exactly as in ping().
         views: Dict[int, CarView] = {}
-        view_for = self._view_for
-        engine.round_prefetch_views(batch.served_rows)
-        for row in batch.served_rows:
-            driver = drivers[row]
-            if driver.session_token:
-                views[row] = view_for(driver)
+        for row, lat, lon, path in zip(
+            batch.served_rows,
+            batch.served_lat,
+            batch.served_lon,
+            batch.served_paths,
+        ):
+            token = drivers[row].session_token
+            if token:
+                views[row] = CarView(token, LatLon(lat, lon), path)
         # Jitter staleness is a pure function of (account, interval),
         # so one probe per account serves every car type this round.
         stale_memo: Dict[str, bool] = {}

@@ -52,9 +52,14 @@ class Trip:
     surge_multiplier: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Driver:
-    """A single driver agent."""
+    """A single driver agent.
+
+    Drivers compare by identity: each object *is* one agent, and the
+    engine's list removals must not build and compare every field of
+    every driver ahead of the one removed.
+    """
 
     driver_id: int
     car_type: CarType
@@ -77,15 +82,11 @@ class Driver:
     #: Driver-set pricing (the Sidecar model, §5.5 discussion): each
     #: driver's own rate multiplier.  Ignored under algorithmic surge.
     personal_rate: float = 1.0
+    #: The path vector of a detached driver (the oracle engine and unit
+    #: tests).  An attached driver's path lives in its FleetArray ring,
+    #: which the path accessors read instead; they never read this deque.
     path: Deque[Tuple[float, LatLon]] = field(
         default_factory=lambda: deque(maxlen=PATH_VECTOR_LEN)
-    )
-    #: Memoized :meth:`path_triples` result; the path mutates at most
-    #: once per tick but is serialized once per *ping* observing the
-    #: car, so the serving layer would otherwise rebuild the same tuple
-    #: hundreds of times between moves.
-    _path_cache: Optional[Tuple[Tuple[float, float, float], ...]] = field(
-        default=None, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------
@@ -103,7 +104,6 @@ class Driver:
         self.session_token = self._new_token(rng)
         self.path.clear()
         self.path.append((now, self.location))
-        self._path_cache = None
 
     def _new_token(self, rng: random.Random) -> str:
         """A fresh public identity: random-looking yet reproducible."""
@@ -125,7 +125,6 @@ class Driver:
         self.session_token = self._new_token(rng)
         self.path.clear()
         self.path.append((now, self.location))
-        self._path_cache = None
 
     def go_offline(self) -> None:
         if self.state is DriverState.OFFLINE:
@@ -137,7 +136,6 @@ class Driver:
         self.trip = None
         self.cruise_target = None
         self.path.clear()
-        self._path_cache = None
 
     @property
     def is_online(self) -> bool:
@@ -200,7 +198,6 @@ class Driver:
         elif self.state is DriverState.IDLE:
             self._cruise(dt, rng)
         self.path.append((now, self.location))
-        self._path_cache = None
         return completed
 
     def _drive_toward(self, target: LatLon, dt: float) -> bool:
@@ -233,45 +230,41 @@ class Driver:
         """Recent movement trace as exposed through `pingClient`."""
         fleet = self._fleet
         if fleet is not None:
-            fleet.refresh_path(self)
+            return tuple(
+                (t, LatLon(lat, lon))
+                for t, lat, lon in fleet.ring_triples([self._row])[0]
+            )
         return tuple(self.path)
 
     def path_triples(self) -> Tuple[Tuple[float, float, float], ...]:
-        """The path as flat ``(t, lat, lon)`` triples, memoized per move.
+        """The path as flat ``(t, lat, lon)`` triples.
 
-        This is the wire shape :class:`repro.api.models.CarView` carries;
-        every client pinging in the same tick observes the identical
-        tuple object.  Array-attached drivers serve the triples straight
-        from the fleet's ring buffers (no deque rebuild).
+        This is the wire shape :class:`repro.api.models.CarView` carries.
+        An attached driver reads them from its fleet's ring buffers.
         """
         fleet = self._fleet
         if fleet is not None:
-            return fleet.path_triples_of(self)
-        if self._path_cache is None:
-            self._path_cache = tuple(
-                (t, p.lat, p.lon) for t, p in self.path
-            )
-        return self._path_cache
+            return fleet.ring_triples([self._row])[0]
+        return tuple((t, p.lat, p.lon) for t, p in self.path)
 
 
 # ----------------------------------------------------------------------
-# Lazy array-backed location (see repro.marketplace.fleet_array)
+# Read-through array-backed location (see repro.marketplace.fleet_array)
 # ----------------------------------------------------------------------
-# When the engine steps drivers through a FleetArray (structure-of-arrays
-# numpy state), positions advance in the arrays and the Driver objects go
-# stale until something reads them.  The hooks below make that laziness
-# invisible: `location` becomes a data descriptor that pulls the current
-# row out of the attached FleetArray on read and pushes writes back into
-# it, so dispatch, the ping endpoint, and every test see exactly the
-# objects they always saw.  Detached drivers (`_fleet is None` — the
-# scalar step path and standalone unit tests) pay one attribute
-# indirection and nothing else.
+# On the production engine a FleetArray (structure-of-arrays numpy state)
+# is the only copy of every car's position, path ring and movement state.
+# Attaching a driver to it makes `location` a data descriptor that reads
+# the driver's row on every access and writes assignments into it, and
+# the path accessors above read the row's ring; nothing is cached on the
+# object, so there is nothing to sync.  Detached drivers (`_fleet is
+# None` -- the oracle's step path and standalone unit tests) keep their
+# location in the instance and pay one attribute indirection.
 #
 # The property is assigned *after* the dataclass decorator has run so the
-# generated __init__/__repr__/__eq__ treat `location` as the ordinary
-# field they were built for; instance storage lives in __dict__["_loc"].
+# generated __init__/__repr__ treat `location` as the ordinary field they
+# were built for; a detached driver's storage is __dict__["_loc"].
 
-#: FleetArray the driver is attached to, or None (scalar mode).
+#: FleetArray the driver is attached to, or None (detached).
 Driver._fleet = None
 #: Row of this driver in the attached FleetArray's arrays.
 Driver._row = -1
@@ -280,15 +273,16 @@ Driver._row = -1
 def _location_get(self: Driver) -> LatLon:
     fleet = self._fleet
     if fleet is not None:
-        fleet.refresh_location(self)
+        return fleet.location_of(self._row)
     return self.__dict__["_loc"]
 
 
 def _location_set(self: Driver, value: LatLon) -> None:
-    self.__dict__["_loc"] = value
     fleet = self._fleet
     if fleet is not None:
-        fleet.location_written(self, value)
+        fleet.set_location(self._row, value)
+    else:
+        self.__dict__["_loc"] = value
 
 
 Driver.location = property(_location_get, _location_set)

@@ -156,13 +156,6 @@ class MarketplaceEngine:
                         speed_mps=config.driver.speed_mps,
                     )
                 )
-        # id -> Driver for the serving layer.  Ids happen to be dense
-        # 1..N today, but nothing outside the engine may assume that:
-        # consumers go through driver_by_id() instead of indexing the
-        # list positionally.
-        self._driver_by_id: Dict[int, Driver] = {
-            d.driver_id: d for d in self.drivers
-        }
         self._offline_by_type: Dict[CarType, List[Driver]] = {}
         self._online_by_type: Dict[CarType, List[Driver]] = {}
         for car_type in config.fleet:
@@ -172,8 +165,10 @@ class MarketplaceEngine:
             self._online_by_type[car_type] = []
 
         # Vectorized fleet stepping (structure-of-arrays; see
-        # repro.marketplace.fleet_array).  Attaching the FleetArray
-        # turns Driver.location into a lazy array-backed view.
+        # repro.marketplace.fleet_array).  The FleetArray becomes the only
+        # copy of every car's position, path ring and movement state:
+        # attached drivers' `location` and path accessors read through
+        # to their rows.
         self._vec: Optional[FleetArray] = None
         if use_vectorized_step:
             self._vec = FleetArray(self.drivers)
@@ -280,10 +275,9 @@ class MarketplaceEngine:
                     self._take_offline(driver)
 
     def _take_offline(self, driver: Driver) -> None:
-        if self._vec is not None:
-            # The object keeps its final position across the offline
-            # gap (release_supply re-onlines drivers in place).
-            self._vec.refresh_location(driver)
+        # The driver keeps its final position across the offline gap
+        # (release_supply re-onlines drivers in place); on production
+        # that position is the FleetArray row, which on_offline leaves.
         driver.go_offline()
         self._online_by_type[driver.car_type].remove(driver)
         self._offline_by_type[driver.car_type].append(driver)
@@ -476,15 +470,6 @@ class MarketplaceEngine:
             return None
         return self._vec.round_nearest(lats, lons, k, car_types)
 
-    def round_prefetch_views(self, rows: Sequence[int]) -> None:
-        """Bulk-warm object-side caches for the rows a round will view.
-
-        Delegates to :meth:`FleetArray.prefetch_rows`; a no-op on the
-        scalar path (which never reaches the batch serving loop).
-        """
-        if self._vec is not None:
-            self._vec.prefetch_rows(rows)
-
     def round_area_ids(
         self, lats: np.ndarray, lons: np.ndarray
     ) -> List[Optional[int]]:
@@ -533,27 +518,6 @@ class MarketplaceEngine:
 
     def online_count(self, car_type: CarType) -> int:
         return len(self._online_by_type.get(car_type, ()))
-
-    def driver_by_id(self, driver_id: int) -> Driver:
-        """The driver with the given public id.
-
-        The serving layer holds per-driver memos keyed by id (e.g. the
-        ``PingEndpoint`` view cache); this accessor owns the id->object
-        mapping so those memos stay correct even if driver ids ever
-        stop being dense ``1..N`` list positions.
-        """
-        return self._driver_by_id[driver_id]
-
-    def sync_fleet(self) -> None:
-        """Flush lazily-stepped array state back into Driver objects.
-
-        Never required for correctness — ``Driver.location`` and the
-        path accessors self-refresh on read — but handy before bulk
-        object-level inspection (tests, ad-hoc analysis).  No-op on the
-        scalar step path.
-        """
-        if self._vec is not None:
-            self._vec.sync_all()
 
     # ------------------------------------------------------------------
     # Main loop

@@ -32,22 +32,25 @@ design rules make that possible:
   post-trip re-identification — and defers position writes back into the
   arrays.
 
-**Lazy object sync.**  Driver objects stay the source of truth for
-everything evented (tokens, trips, earnings, session bookkeeping); the
-arrays are the source of truth for anything movement touches (location,
-path ring, the batched EN_ROUTE→ON_TRIP transition, cruise-target
-clearing on arrival).  ``Driver.location`` is a descriptor that calls
-:meth:`FleetArray.refresh_location` on read and
-:meth:`FleetArray.location_written` on write, and the path accessors
-call :meth:`FleetArray.refresh_path`, so dispatch, ``api/ping.py``, the
-taxi replayer, and tests observe unchanged objects with no explicit
-flush.  :meth:`sync_all` force-flushes everything (used by tests and
-ad-hoc analysis).
+**Read-through objects.**  The arrays are the only copy of everything
+movement touches: position, path ring, navigation targets, and the
+movement-side state code.  Driver objects keep what is evented (tokens,
+trips, earnings, session bookkeeping, cruise target, personal rate),
+and the one state change movement causes, the batched
+EN_ROUTE→ON_TRIP promotion, is written to the objects of the pickup
+rows in :meth:`FleetArray.begin_step` as it happens.  An attached
+``Driver`` reads through: ``location`` builds a ``LatLon`` from its row
+(:meth:`FleetArray.location_of`) and writes assignments into it
+(:meth:`FleetArray.set_location`), and ``path_vector()`` /
+``path_triples()`` read its ring (:meth:`FleetArray.ring_triples`).
+Nothing is cached on the object, so nothing needs a sync step.  The
+batched serving round gathers positions and path triples for all its
+served rows in :meth:`FleetArray.round_nearest`.
 
-One caveat of laziness: ``LatLon`` range validation happens at
-materialization time (on read) rather than at each step, so a
-pathological config that wobbles a driver past the poles raises on first
-read instead of mid-step.  City-scale regions cannot get near that.
+``LatLon`` range validation runs when a position is built (on read),
+not at each step, so a pathological config that wobbles a driver past
+the poles raises on first read instead of mid-step.  City-scale regions
+cannot get near that.
 """
 
 from __future__ import annotations
@@ -68,6 +71,13 @@ from repro.marketplace.types import CarType
 
 #: Integer codes for :class:`DriverState` as stored in the state array.
 OFFLINE, IDLE, EN_ROUTE, ON_TRIP = 0, 1, 2, 3
+
+#: A path vector as ``(t, lat, lon)`` points, oldest first (the shape
+#: ``CarView.path`` carries).
+PathTriples = Tuple[Tuple[float, float, float], ...]
+
+#: Window positions 0..PATH_VECTOR_LEN-1 of a path ring.
+_RING_POS = np.arange(PATH_VECTOR_LEN, dtype=np.int64)
 
 #: The dispatchable-rows cache: (version, rows_all, {car_type: (start,
 #: end) into rows_all}, lat[rows_all], lon[rows_all]).
@@ -128,20 +138,31 @@ class RoundNearest:
     :meth:`FleetArray.nearest_rows` returns for location *i* — the same
     ``(distance, driver_id)`` ordering on the same floats — from plain
     list indexing.  ``served_rows`` is the ascending union of every row
-    any location will be served, so a caller can refresh per-driver
-    state (view memos, token checks) once per round instead of once per
-    (location, type, rank).
+    any location will be served, and ``served_lat``, ``served_lon`` and
+    ``served_paths`` are those rows' positions and path triples,
+    gathered from the arrays in one pass, so a caller can build each
+    served car's view once per round instead of once per (location,
+    type, rank).
     """
 
-    __slots__ = ("_per_type", "served_rows")
+    __slots__ = (
+        "_per_type", "served_rows", "served_lat", "served_lon",
+        "served_paths",
+    )
 
     def __init__(
         self,
         per_type: Dict[CarType, Tuple[List[List[float]], List[List[int]]]],
         served_rows: Sequence[int] = (),
+        served_lat: Sequence[float] = (),
+        served_lon: Sequence[float] = (),
+        served_paths: Sequence[PathTriples] = (),
     ) -> None:
         self._per_type = per_type
         self.served_rows = served_rows
+        self.served_lat = served_lat
+        self.served_lon = served_lon
+        self.served_paths = served_paths
 
     def segment(
         self, car_type: CarType
@@ -196,9 +217,6 @@ class FleetArray:
         self.path_lat = np.zeros((n, PATH_VECTOR_LEN), dtype=np.float64)
         self.path_lon = np.zeros((n, PATH_VECTOR_LEN), dtype=np.float64)
         self.path_cnt = np.zeros(n, dtype=np.int64)
-        # Lazy-sync dirty flags, per row.
-        self.stale_loc = np.zeros(n, dtype=bool)
-        self.stale_path = np.zeros(n, dtype=bool)
 
         # Static per-type row sets (fleet composition never changes).
         self.type_code: Dict[CarType, int] = {}
@@ -230,186 +248,54 @@ class FleetArray:
         # ``_query``) serves the whole reply.
         self._struct: Optional[_DispatchStruct] = None
         self._query: Optional[Tuple[float, float, np.ndarray]] = None
-        #: Monotone per-row ring version; keys the ring-built
-        #: ``path_triples`` cache on the driver object.
-        self.path_ver = np.zeros(n, dtype=np.int64)
 
         for i, d in enumerate(drivers):
-            loc = d.__dict__["_loc"]
+            loc = d.location
             self.lat[i] = loc.lat
             self.lon[i] = loc.lon
             self.speed[i] = d.speed_mps
             self.state[i] = _STATE_CODE[d.state]
+            # From here on the row is the driver's only position.
+            d.__dict__.pop("_loc", None)
             d._fleet = self
             d._row = i
 
     # ------------------------------------------------------------------
-    # Lazy object sync
+    # Read-through Driver accessors
     # ------------------------------------------------------------------
-    def refresh_location(self, d: Driver) -> None:
-        """Pull the driver's array position (and the movement-coupled
-        state) back into the object, if stale."""
-        r = d._row
-        if not self.stale_loc[r]:
-            return
-        self.stale_loc[r] = False
-        d.__dict__["_loc"] = LatLon(self.lat[r].item(), self.lon[r].item())
-        # The only lazily-applied state change is the batched
-        # EN_ROUTE→ON_TRIP promotion; everything else is evented on the
-        # object at the moment it happens.
-        if self.state[r] == ON_TRIP and d.state is DriverState.EN_ROUTE:
-            d.state = DriverState.ON_TRIP
-        if not self.has_target[r] and d.cruise_target is not None:
-            d.cruise_target = None
+    def location_of(self, r: int) -> LatLon:
+        """Row *r*'s current position (``Driver.location`` reads this)."""
+        return LatLon(self.lat[r].item(), self.lon[r].item())
 
-    def location_written(self, d: Driver, value: LatLon) -> None:
-        """Mirror an object-side location assignment into the arrays."""
-        r = d._row
+    def set_location(self, r: int, value: LatLon) -> None:
+        """Move row *r* to *value* (``Driver.location`` writes this)."""
         self.lat[r] = value.lat
         self.lon[r] = value.lon
-        self.stale_loc[r] = False
         self._version += 1
 
-    def path_triples_of(self, d: Driver) -> Tuple[
-        Tuple[float, float, float], ...
-    ]:
-        """Serve ``Driver.path_triples`` straight from the ring arrays.
+    def ring_triples(self, rows: Sequence[int]) -> List[PathTriples]:
+        """Each row's path vector as ``(t, lat, lon)`` triples, oldest
+        first: the last ``PATH_VECTOR_LEN`` ring appends, or fewer since
+        the last reset (none while offline).
 
-        The serving layer reads triples once per viewed driver per tick;
-        rebuilding the deque (5 ``LatLon`` constructions) just to
-        flatten it again is the single hottest part of a vec-mode ping
-        round, so the flat tuple is built directly from the ring and
-        memoized against :attr:`path_ver`.  The deque stays stale until
-        something reads it through :meth:`refresh_path`.
+        One gather serves any number of rows: the round's served rows in
+        :meth:`round_nearest`, or a single row for the path accessors of
+        an attached ``Driver``.
         """
-        r = d._row
-        if not self.stale_path[r]:
-            # Deque is current (freshly synced or evented) — the plain
-            # object-side memo applies.
-            if d._path_cache is None:
-                d._path_cache = tuple(
-                    (t, p.lat, p.lon) for t, p in d.path
-                )
-            return d._path_cache
-        ver = self.path_ver[r]
-        if d._path_cache is not None and d.__dict__.get("_ring_ver") == ver:
-            return d._path_cache
-        cnt = int(self.path_cnt[r])
-        m = PATH_VECTOR_LEN if cnt >= PATH_VECTOR_LEN else cnt
-        ts = self.path_t[r].tolist()
-        las = self.path_lat[r].tolist()
-        los = self.path_lon[r].tolist()
-        cache = tuple(
-            (
-                ts[k % PATH_VECTOR_LEN],
-                las[k % PATH_VECTOR_LEN],
-                los[k % PATH_VECTOR_LEN],
-            )
-            for k in range(cnt - m, cnt)
-        )
-        d._path_cache = cache
-        d.__dict__["_ring_ver"] = ver
-        return cache
-
-    def prefetch_rows(self, rows: Sequence[int]) -> None:
-        """Bulk-warm the object-side location and path-triple caches.
-
-        Exactly equivalent to calling :meth:`refresh_location` and
-        :meth:`path_triples_of` row by row, but the numpy scalar
-        extraction (one ``.item()`` / row-``tolist()`` per driver) is
-        amortized into whole-array gathers.  The batched serving path
-        calls this once per round over every row it is about to view,
-        so the per-driver fills inside ``_view_for`` become cache hits.
-        """
-        if not len(rows):
-            return
         idx = np.asarray(rows, dtype=np.int64)
-        drivers = self.drivers
-        stale = idx[self.stale_loc[idx]]
-        if stale.size:
-            self.stale_loc[stale] = False
-            las = self.lat[stale].tolist()
-            los = self.lon[stale].tolist()
-            promote = (self.state[stale] == ON_TRIP).tolist()
-            clear_tgt = (~self.has_target[stale]).tolist()
-            for j, r in enumerate(stale.tolist()):
-                d = drivers[r]
-                d.__dict__["_loc"] = LatLon(las[j], los[j])
-                if promote[j] and d.state is DriverState.EN_ROUTE:
-                    d.state = DriverState.ON_TRIP
-                if clear_tgt[j] and d.cruise_target is not None:
-                    d.cruise_target = None
-        # Ring-side path triples: same memo discipline as
-        # path_triples_of — rebuild only where the ring version moved,
-        # leave ``stale_path`` set (the deque itself stays lazy).
-        stale_p = self.stale_path[idx].tolist()
-        vers = self.path_ver[idx].tolist()
-        need: List[int] = []
-        for j, r in enumerate(idx.tolist()):
-            if not stale_p[j]:
-                continue
-            d = drivers[r]
-            if (
-                d._path_cache is not None
-                and d.__dict__.get("_ring_ver") == vers[j]
-            ):
-                continue
-            need.append(r)
-        if need:
-            narr = np.asarray(need, dtype=np.int64)
-            ts2 = self.path_t[narr].tolist()
-            las2 = self.path_lat[narr].tolist()
-            los2 = self.path_lon[narr].tolist()
-            cnts = self.path_cnt[narr].tolist()
-            pv = self.path_ver[narr].tolist()
-            for j, r in enumerate(need):
-                d = drivers[r]
-                cnt = cnts[j]
-                m = PATH_VECTOR_LEN if cnt >= PATH_VECTOR_LEN else cnt
-                ts = ts2[j]
-                la = las2[j]
-                lo = los2[j]
-                d._path_cache = tuple(
-                    (
-                        ts[k % PATH_VECTOR_LEN],
-                        la[k % PATH_VECTOR_LEN],
-                        lo[k % PATH_VECTOR_LEN],
-                    )
-                    for k in range(cnt - m, cnt)
-                )
-                d.__dict__["_ring_ver"] = pv[j]
-
-    def refresh_path(self, d: Driver) -> None:
-        """Rebuild the object's path deque from the ring, if stale."""
-        r = d._row
-        if not self.stale_path[r]:
-            return
-        self.stale_path[r] = False
-        cnt = int(self.path_cnt[r])
-        m = PATH_VECTOR_LEN if cnt >= PATH_VECTOR_LEN else cnt
-        path = d.path
-        path.clear()
-        t_row = self.path_t[r]
-        la_row = self.path_lat[r]
-        lo_row = self.path_lon[r]
-        for k in range(cnt - m, cnt):
-            s = k % PATH_VECTOR_LEN
-            path.append(
-                (
-                    t_row[s].item(),
-                    LatLon(la_row[s].item(), lo_row[s].item()),
-                )
-            )
-        d._path_cache = None
-
-    def sync_driver(self, d: Driver) -> None:
-        self.refresh_location(d)
-        self.refresh_path(d)
-
-    def sync_all(self) -> None:
-        """Flush every stale row back into its Driver object."""
-        for r in np.nonzero(self.stale_loc | self.stale_path)[0]:
-            self.sync_driver(self.drivers[r])
+        cnt = self.path_cnt[idx]
+        m = np.minimum(cnt, PATH_VECTOR_LEN)
+        # The slot of append k is k % PATH_VECTOR_LEN, so a row's window
+        # starts at append cnt - m; slots past m are sliced off below.
+        slots = ((cnt - m)[:, None] + _RING_POS) % PATH_VECTOR_LEN
+        idx = idx[:, None]
+        ts = self.path_t[idx, slots].tolist()
+        las = self.path_lat[idx, slots].tolist()
+        los = self.path_lon[idx, slots].tolist()
+        return [
+            tuple(zip(t[:k], la[:k], lo[:k]))
+            for t, la, lo, k in zip(ts, las, los, m.tolist())
+        ]
 
     # ------------------------------------------------------------------
     # Evented transitions (engine hooks)
@@ -425,14 +311,13 @@ class FleetArray:
         self._version += 1
 
     def on_offline(self, d: Driver) -> None:
-        """Driver just signed off (object already refreshed + cleared)."""
+        """Driver just signed off (object already cleared).  The row
+        keeps its final position across the offline gap."""
         r = d._row
         self.state[r] = OFFLINE
         self.has_target[r] = False
         self.planned_off[r] = np.inf
         self.path_cnt[r] = 0
-        self.stale_loc[r] = False
-        self.stale_path[r] = False
         self._idle_rows.pop(d.car_type, None)
         self._version += 1
 
@@ -469,8 +354,6 @@ class FleetArray:
         self.path_lat[r, 0] = self.lat[r]
         self.path_lon[r, 0] = self.lon[r]
         self.path_cnt[r] = 1
-        self.path_ver[r] += 1
-        self.stale_path[r] = False
 
     # ------------------------------------------------------------------
     # The vectorized step
@@ -484,9 +367,10 @@ class FleetArray:
         (``dist <= step or dist <= 1.0`` → snap exactly onto the
         target), the same interpolation, and the idle half-speed factor
         applied as ``speed * (dt * 0.5)`` exactly as the scalar path
-        does.  Arrivals trigger the batched transitions; all movers get
-        their path-ring append.  Returns the masks the engine's ordered
-        RNG loop consumes.
+        does.  Arrivals trigger the batched transitions (a pickup
+        arrival's ON_TRIP state is written to its ``Driver`` too); all
+        movers get their path-ring append.  Returns the masks the
+        engine's ordered RNG loop consumes.
         """
         self._version += 1
         st = self.state
@@ -532,6 +416,9 @@ class FleetArray:
                 st[pickup] = ON_TRIP
                 self.tgt_lat[pickup] = self.drop_lat[pickup]
                 self.tgt_lon[pickup] = self.drop_lon[pickup]
+                drivers = self.drivers
+                for r in pickup.tolist():
+                    drivers[r].state = DriverState.ON_TRIP
             done = arr_rows[st_arr == ON_TRIP]
             if done.size:
                 st[done] = IDLE
@@ -543,7 +430,6 @@ class FleetArray:
                 masks.cruise_arrived[ca] = True
         masks.idle_like[mv[idle_mv]] = True
         self._ring_append(mv, now)
-        self.stale_loc[mv] = True
         return masks
 
     def apply_offset(self, r: int, north_m: float, east_m: float) -> None:
@@ -557,7 +443,6 @@ class FleetArray:
         )
         self.lat[r] = la + dlat
         self.lon[r] = self.lon[r] + dlon
-        self.stale_loc[r] = True
         self._version += 1
 
     def finish_step(
@@ -582,7 +467,6 @@ class FleetArray:
         if wobbled_rows:
             rows = np.array(wobbled_rows, dtype=np.int64)
             self._ring_append(rows, now)
-            self.stale_loc[rows] = True
         self._version += 1
 
     def _ring_append(self, rows: np.ndarray, now: float) -> None:
@@ -592,8 +476,6 @@ class FleetArray:
         self.path_lat[rows, slots] = self.lat[rows]
         self.path_lon[rows, slots] = self.lon[rows]
         self.path_cnt[rows] += 1
-        self.path_ver[rows] += 1
-        self.stale_path[rows] = True
 
     # ------------------------------------------------------------------
     # Vectorized queries
@@ -726,7 +608,9 @@ class FleetArray:
 
         *car_types* restricts the work to the types the round will
         actually serve (a type-restricted measurement fleet only needs
-        one segment); ``None`` computes every type.
+        one segment); ``None`` computes every type.  The served rows'
+        positions and path triples are gathered here too, so the round's
+        car views need no per-driver reads.
         """
         per_type: Dict[
             CarType, Tuple[List[List[float]], List[List[int]]]
@@ -762,10 +646,16 @@ class FleetArray:
             rows_sel = rows_all[s0:s1][order]
             served.append(rows_sel.ravel())
             per_type[ct] = (d_sel.tolist(), rows_sel.tolist())
-        served_rows = (
-            np.unique(np.concatenate(served)).tolist() if served else ()
+        if not served:
+            return RoundNearest(per_type)
+        rows = np.unique(np.concatenate(served))
+        return RoundNearest(
+            per_type,
+            rows.tolist(),
+            self.lat[rows].tolist(),
+            self.lon[rows].tolist(),
+            self.ring_triples(rows),
         )
-        return RoundNearest(per_type, served_rows)
 
     # ------------------------------------------------------------------
     # Derived views

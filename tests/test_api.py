@@ -1,6 +1,5 @@
 """Tests for the API surface: models, ping, REST, rate limiting."""
 
-import dataclasses
 import threading
 
 import numpy as np
@@ -391,58 +390,6 @@ class TestServeRound:
             endpoint.ping(account_id, location, car_types)
             for account_id, location, car_types in requests
         ]
-
-
-class TestViewsMemoEviction:
-    def _big_fleet_engine(self, seed=5):
-        # A fleet much larger than its online count, so stale views can
-        # outgrow the sweep threshold (2 x online + 16 < fleet size).
-        cfg = dataclasses.replace(
-            toy_config(),
-            fleet={CarType.UBERX: 220, CarType.UBERBLACK: 12},
-        )
-        engine = MarketplaceEngine(cfg, seed=seed)
-        engine.run(600.0)
-        return engine
-
-    def test_sweep_evicts_departed_identities(self):
-        engine = self._big_fleet_engine()
-        endpoint = PingEndpoint(engine)
-        center = engine.config.region.bounding_box.center
-        baseline = endpoint.ping("acct", center)
-        # Strand a view of a dead identity for every driver, as a long
-        # campaign's churn would.
-        for driver in engine.drivers:
-            endpoint._views.setdefault(
-                driver.driver_id,
-                CarView(f"dead{driver.driver_id}", center),
-            )
-        polluted = len(endpoint._views)
-        reply = endpoint.ping("acct", center)
-        assert reply == baseline  # eviction never changes served replies
-        online = sum(
-            engine.online_count(ct) for ct in engine.config.fleet
-        )
-        assert len(endpoint._views) <= 2 * online + 16
-        assert len(endpoint._views) < polluted
-
-    def test_memo_bounded_over_long_campaign(self):
-        # Regression: views of departed drivers were never evicted, so
-        # week-scale campaigns grew the memo with every driver death.
-        engine = self._big_fleet_engine()
-        endpoint = PingEndpoint(engine)
-        center = engine.config.region.bounding_box.center
-        for _ in range(180):  # three simulated hours of churn
-            engine.run(60.0)
-            endpoint.ping("acct", center)
-        online = sum(
-            engine.online_count(ct) for ct in engine.config.fleet
-        )
-        # Bounded by the live fleet, not by total identities ever seen.
-        assert len(endpoint._views) <= 2 * online + 16
-        assert 2 * online + 16 < len(engine.drivers)
-        churned = sum(d.token_serial for d in engine.drivers)
-        assert churned > len(engine.drivers)  # the churn really happened
 
 
 class TestRestApi:

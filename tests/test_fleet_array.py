@@ -1,16 +1,18 @@
 """Differential tests: vectorized fleet stepping == scalar stepping.
 
 ``use_vectorized_step`` moves all driver movement into numpy
-structure-of-arrays code (:mod:`repro.marketplace.fleet_array`) and
-lazily syncs the ``Driver`` objects.  Its contract is *bit-identity*:
-same seed in, identical marketplace out — ``IntervalTruth`` streams,
-trip ledgers, ping replies, the shared RNG's state, and every field of
-every ``Driver`` object.  These tests pin that contract:
+structure-of-arrays code (:mod:`repro.marketplace.fleet_array`), and
+the ``Driver`` objects read their position and path through to the
+arrays.  Its contract is *bit-identity*: same seed in, identical
+marketplace out — ``IntervalTruth`` streams, trip ledgers, ping
+replies, the shared RNG's state, and every field of every ``Driver``
+object.  These tests pin that contract:
 
 * randomized-scenario property tests (hypothesis) run the same seed
   through both paths and compare everything;
 * unit tests cover the array container itself — row mapping, ring
-  buffers, lazy sync, and the nearest-k query against a reference scan.
+  buffers, read-through objects, and the nearest-k query against a
+  reference scan.
 
 See ``tests/test_rng_draw_order.py`` for the draw-order half of the
 contract and ``tests/test_perf_regression.py`` for the tier-1 flag
@@ -19,6 +21,7 @@ matrix on a bigger scenario.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import tomllib
@@ -33,7 +36,13 @@ from repro.geo.latlon import LatLon
 from repro.api.ping import PingEndpoint
 from repro.marketplace.driver import PATH_VECTOR_LEN, Driver, DriverState
 from repro.marketplace.engine import MarketplaceEngine
-from repro.marketplace.fleet_array import FleetArray
+from repro.marketplace.fleet_array import (
+    EN_ROUTE,
+    IDLE,
+    OFFLINE,
+    ON_TRIP,
+    FleetArray,
+)
 from repro.marketplace.types import CarType
 from repro.measurement.placement import place_clients
 
@@ -52,8 +61,28 @@ def _run_engine(cfg, seed: int, ticks: int, vectorized: bool,
         if ping_every and t % ping_every == 0:
             for i, loc in enumerate(clients):
                 replies.append(endpoint.ping(f"p{i}", loc))
-    engine.sync_fleet()
     return engine, replies
+
+
+#: Every Driver field the dataclass marks for comparison.
+_DRIVER_FIELDS = [f.name for f in dataclasses.fields(Driver) if f.compare]
+
+
+def assert_drivers_identical(vector, scalar) -> None:
+    """Every ``compare=True`` field of every driver agrees.
+
+    ``Driver`` compares by identity, so this spells the comparison out.
+    ``path`` is read through ``path_vector()``: an array-attached
+    driver's path lives in its fleet's ring, not in the deque.
+    """
+    assert len(vector) == len(scalar)
+    for v, s in zip(vector, scalar):
+        for name in _DRIVER_FIELDS:
+            if name == "path":
+                got, want = v.path_vector(), s.path_vector()
+            else:
+                got, want = getattr(v, name), getattr(s, name)
+            assert got == want, (s.driver_id, name, got, want)
 
 
 def assert_engines_identical(cfg, seed: int, ticks: int,
@@ -64,10 +93,10 @@ def assert_engines_identical(cfg, seed: int, ticks: int,
     assert vector.completed_trips == scalar.completed_trips
     assert replies_v == replies_s
     assert vector.rng.getstate() == scalar.rng.getstate()
-    # Driver dataclass equality covers location, state, path deque,
-    # session bookkeeping, trip, earnings — the lazy sync must leave
-    # the objects indistinguishable from scalar-stepped ones.
-    assert vector.drivers == scalar.drivers
+    # Location, state, path, session bookkeeping, trip, earnings: the
+    # read-through objects must be indistinguishable from
+    # scalar-stepped ones.
+    assert_drivers_identical(vector.drivers, scalar.drivers)
 
 
 # ----------------------------------------------------------------------
@@ -149,8 +178,9 @@ def test_rows_mirror_initial_state():
 
 
 def test_ring_buffer_matches_deque_semantics():
-    """After more appends than PATH_VECTOR_LEN the ring serves the last
-    PATH_VECTOR_LEN entries, oldest first — exactly like the deque."""
+    """The ring serves the last PATH_VECTOR_LEN entries, oldest first —
+    exactly like the deque: the full window at exactly PATH_VECTOR_LEN
+    appends, the oldest entry evicted by the next append."""
     import random
 
     drivers = _tiny_fleet(1)
@@ -167,10 +197,21 @@ def test_ring_buffer_matches_deque_semantics():
         fleet.lon[0] = -74.00 - 0.0001 * k
         fleet._ring_append(rows, float(k))
         expected.append((float(k), 40.70 + 0.0001 * k, -74.00 - 0.0001 * k))
-    triples = d.path_triples()
-    assert triples == tuple(expected[-PATH_VECTOR_LEN:])
-    # The deque accessor agrees after a lazy refresh.
-    assert tuple((t, p.lat, p.lon) for t, p in d.path_vector()) == triples
+        triples = d.path_triples()
+        assert triples == tuple(expected[-PATH_VECTOR_LEN:])
+        if k == PATH_VECTOR_LEN - 1:
+            # Exactly at capacity: the full window, oldest entry first.
+            assert fleet.path_cnt[0] == PATH_VECTOR_LEN
+            assert len(triples) == PATH_VECTOR_LEN
+            assert triples[0][0] == 0.0
+        elif k == PATH_VECTOR_LEN:
+            # The next append evicts the oldest entry.
+            assert len(triples) == PATH_VECTOR_LEN
+            assert triples[0][0] == 1.0
+        # The LatLon accessor reads the same ring.
+        assert tuple(
+            (t, p.lat, p.lon) for t, p in d.path_vector()
+        ) == triples
 
 
 def test_ring_reset_after_wrap_starts_fresh():
@@ -190,7 +231,6 @@ def test_ring_reset_after_wrap_starts_fresh():
     for k in range(1, PATH_VECTOR_LEN + 4):
         fleet.lat[0] = 40.70 + 0.0001 * k
         fleet._ring_append(rows, float(k))
-        fleet.stale_loc[0] = True
     assert fleet.path_cnt[0] > PATH_VECTOR_LEN  # ring actually wrapped
     # The real call site: the object resets its deque identity first,
     # then the fleet resets the ring.
@@ -203,35 +243,6 @@ def test_ring_reset_after_wrap_starts_fresh():
     fleet.lat[0] += 0.0005
     fleet._ring_append(rows, 100.0)
     assert len(d.path_triples()) == 2
-
-
-def test_path_triples_memoized_at_exact_capacity():
-    """The ring-version memo: at exactly PATH_VECTOR_LEN appends the
-    full window is served oldest-first, repeated reads hit the cache
-    (same tuple object), and the next append invalidates it."""
-    import random
-
-    import numpy as np
-
-    drivers = _tiny_fleet(1)
-    fleet = FleetArray(drivers)
-    d = drivers[0]
-    d.come_online(0.0, 3600.0, random.Random(11))
-    fleet.on_online(d, 0.0)
-    rows = np.array([0])
-    for k in range(1, PATH_VECTOR_LEN):  # online point + these = LEN
-        fleet.lat[0] = 40.70 + 0.0001 * k
-        fleet._ring_append(rows, float(k))
-    assert fleet.path_cnt[0] == PATH_VECTOR_LEN
-    first = d.path_triples()
-    assert len(first) == PATH_VECTOR_LEN
-    assert first[0][0] == 0.0  # oldest entry still present, first
-    assert d.path_triples() is first  # memo hit, no rebuild
-    fleet._ring_append(rows, float(PATH_VECTOR_LEN))
-    second = d.path_triples()
-    assert second is not first
-    assert len(second) == PATH_VECTOR_LEN
-    assert second[0][0] == 1.0  # oldest evicted by the wrap
 
 
 def test_headings_all_nan_when_no_ring_has_two_points():
@@ -309,21 +320,59 @@ def test_nearest_rows_shared_distance_cache_tracks_movement():
     assert second[0] == (0.0, 0)
 
 
-def test_lazy_location_sync_roundtrip():
+def test_attached_driver_reads_through_to_its_row():
+    """An attached driver keeps no copy of its position or path: rows
+    moved in the arrays show up in ``location``, ``path_vector()`` and
+    ``path_triples()`` with no sync step, and a ``location`` write lands
+    in the arrays."""
+    import random
+
+    import numpy as np
+
     drivers = _tiny_fleet(2)
     fleet = FleetArray(drivers)
     d = drivers[0]
-    # Array-side move marks the row stale; the property refreshes.
+    assert "_loc" not in d.__dict__
+    d.come_online(0.0, 3600.0, random.Random(4))
+    fleet.on_online(d, 0.0)
+    # Array-side moves, the way the step kernel makes them.
     fleet.lat[0] = 40.7099
     fleet.lon[0] = -74.0001
-    fleet.stale_loc[0] = True
-    loc = d.location
-    assert (loc.lat, loc.lon) == (40.7099, -74.0001)
-    assert not fleet.stale_loc[0]
-    # Object-side write flows back into the arrays.
+    assert d.location == LatLon(40.7099, -74.0001)
+    fleet._ring_append(np.array([0]), 5.0)
+    assert d.path_triples()[-1] == (5.0, 40.7099, -74.0001)
+    assert d.path_vector()[-1] == (5.0, LatLon(40.7099, -74.0001))
+    fleet.lat[0] = 40.7098
+    fleet._ring_append(np.array([0]), 10.0)
+    assert d.location.lat == 40.7098
+    assert d.path_triples()[-1] == (10.0, 40.7098, -74.0001)
+    assert len(d.path_vector()) == 3
+    # Object-side write lands in the arrays.
     d.location = LatLon(40.701, -74.002)
     assert fleet.lat[0] == 40.701
     assert fleet.lon[0] == -74.002
+    assert d.location == LatLon(40.701, -74.002)
+    # The other row is untouched.
+    assert drivers[1].location == LatLon(40.70 + 0.001, -74.00 + 0.001)
+
+
+def test_production_driver_state_matches_arrays():
+    """Every driver's ``state`` agrees with its row's state code after a
+    production run, with no location read in between: the pickup
+    arrival's EN_ROUTE→ON_TRIP promotion reaches the object when it
+    happens, not when something next reads the driver's position."""
+    engine = MarketplaceEngine(toy_config(), seed=3)
+    engine.run(1800.0)
+    fleet = engine._vec
+    code = {
+        DriverState.OFFLINE: OFFLINE,
+        DriverState.IDLE: IDLE,
+        DriverState.EN_ROUTE: EN_ROUTE,
+        DriverState.ON_TRIP: ON_TRIP,
+    }
+    states = [code[d.state] for d in engine.drivers]
+    assert states == fleet.state.tolist()
+    assert ON_TRIP in states  # a trip is under way, so the check bites
 
 
 def test_headings_derive_from_last_ring_segment():
