@@ -107,9 +107,6 @@ class CityConfig:
     #: quotes) but weighs them below placed requests.
     priced_out_demand_weight: float = 0.4
 
-    def total_fleet(self) -> int:
-        return sum(self.fleet.values())
-
 
 # ----------------------------------------------------------------------
 # Shared diurnal shapes

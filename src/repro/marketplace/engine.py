@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.geo.index import AreaIndex
-from repro.geo.latlon import EARTH_RADIUS_M, LatLon
+from repro.geo.latlon import LatLon
 from repro.geo.regions import SurgeAreaDef
 from repro.marketplace.clock import SimClock
 from repro.marketplace.config import CityConfig
@@ -546,9 +546,6 @@ class MarketplaceEngine:
         while self.clock.now < end:
             self.tick()
 
-    def run_days(self, days: float) -> None:
-        self.run(days * 86_400.0)
-
     # ------------------------------------------------------------------
     def _step_burst(self) -> None:
         """Advance the AR(1) demand-burst level once per interval."""
@@ -860,10 +857,10 @@ class MarketplaceEngine:
         Per-area idle counts come from one vectorized point→area gather
         (:meth:`AreaIndex.locate_codes` — exactly the first-match answer
         the scalar loop computes per driver); per-centroid EWTs from one
-        distance matrix whose row-wise argmin reproduces the
-        ``(distance, driver_id)`` nearest-1 tie-break because idle rows
-        are id-ordered.  The surge engine is fed per area in the same
-        area-list order as the scalar loop.
+        :meth:`FleetArray.nearest` call at the area centroids with k = 1,
+        the nearest-1 query (and ``(distance, driver_id)`` tie-break)
+        the scalar loop makes per centroid.  The surge engine is fed per
+        area in the same area-list order as the scalar loop.
         """
         vec = self._vec
         area_index = self._area_index
@@ -884,19 +881,11 @@ class MarketplaceEngine:
                 total, n = self._interval_idle_acc[area_id]
                 self._interval_idle_acc[area_id] = (total + count, n + 1)
             if idle_x.size:
-                cla = self._centroid_lat
-                clo = self._centroid_lon
-                la = vec.lat[idle_x]
-                lo = vec.lon[idle_x]
-                x = np.radians(clo[:, None] - lo[None, :]) * np.cos(
-                    np.radians((la[None, :] + cla[:, None]) / 2.0)
+                dmin, nearest = vec.nearest(
+                    self._centroid_lat, self._centroid_lon, CarType.UBERX, 1
                 )
-                y = np.radians(cla[:, None] - la[None, :])
-                dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-                j = np.argmin(dist, axis=1)
-                dmin = dist[np.arange(len(area_list)), j]
                 seconds = (
-                    dmin / vec.speed[idle_x[j]]
+                    dmin[:, 0] / vec.speed[nearest[:, 0]]
                     + self.dispatcher.pickup_overhead_s
                 )
                 minutes = np.maximum(1.0, seconds / 60.0)

@@ -5,8 +5,8 @@ object each 5-second tick — after PR 1's spatial index removed the query
 bottleneck, that per-object stepping became the dominant cost of a
 campaign (≈86 % of tick time on the ``bench_perf_engine`` Manhattan ×20
 scenario).  This module keeps the whole fleet's mutable hot state in
-flat numpy arrays (positions, state enums, navigation targets, trip
-dropoffs, path-vector ring buffers, session deadlines) so the engine can
+flat numpy arrays (positions, state enums, navigation targets,
+path-vector ring buffers, session deadlines) so the engine can
 advance *all* target-driven movers — drivers en route to a pickup, on a
 trip, or cruising toward a relocation target — with a handful of
 vectorized array operations per tick.
@@ -47,6 +47,15 @@ Nothing is cached on the object, so nothing needs a sync step.  The
 batched serving round gathers positions and path triples for all its
 served rows in :meth:`FleetArray.round_nearest`.
 
+**State only.**  The arrays hold state and nothing derived from it: no
+copy of positions, idle rows or distances is kept between queries, so
+there is nothing to invalidate when a row moves or changes state.
+Every query reads the arrays as they are.  One kernel,
+:meth:`FleetArray.nearest`, answers every nearest-car question —
+dispatch, `pingClient` replies and their EWTs, and the surge engine's
+EWT probes at the area centroids — by masking the type's idle rows out
+of ``state`` and evaluating one location × row distance matrix.
+
 ``LatLon`` range validation runs when a position is built (on read),
 not at each step, so a pathological config that wobbles a driver past
 the poles raises on first read instead of mid-step.  City-scale regions
@@ -78,16 +87,6 @@ PathTriples = Tuple[Tuple[float, float, float], ...]
 
 #: Window positions 0..PATH_VECTOR_LEN-1 of a path ring.
 _RING_POS = np.arange(PATH_VECTOR_LEN, dtype=np.int64)
-
-#: The dispatchable-rows cache: (version, rows_all, {car_type: (start,
-#: end) into rows_all}, lat[rows_all], lon[rows_all]).
-_DispatchStruct = Tuple[
-    int,
-    np.ndarray,
-    Dict[CarType, Tuple[int, int]],
-    np.ndarray,
-    np.ndarray,
-]
 
 _STATE_CODE = {
     DriverState.OFFLINE: OFFLINE,
@@ -131,14 +130,13 @@ class RoundNearest:
     """Top-k nearest dispatchable rows for every (ping location, car
     type) pair of one batched serving round.
 
-    Produced by :meth:`FleetArray.round_nearest`: one distance matrix
-    per (fleet, car type) against *all* ping locations, with the top-k
-    extraction done in one stable-argsort pass per type.  ``nearest(i,
-    car_type)`` then returns exactly what
-    :meth:`FleetArray.nearest_rows` returns for location *i* — the same
-    ``(distance, driver_id)`` ordering on the same floats — from plain
-    list indexing.  ``served_rows`` is the ascending union of every row
-    any location will be served, and ``served_lat``, ``served_lon`` and
+    Produced by :meth:`FleetArray.round_nearest`, one
+    :meth:`FleetArray.nearest` call per car type against all ping
+    locations, so location *i*'s rows and distances are exactly what
+    :meth:`FleetArray.nearest_rows` returns for it alone — the same
+    ``(distance, driver_id)`` ordering on the same floats.
+    ``served_rows`` is the ascending union of every row any location
+    will be served, and ``served_lat``, ``served_lon`` and
     ``served_paths`` are those rows' positions and path triples,
     gathered from the arrays in one pass, so a caller can build each
     served car's view once per round instead of once per (location,
@@ -171,16 +169,6 @@ class RoundNearest:
         when the type has no dispatchable rows (or was not queried)."""
         return self._per_type.get(car_type)
 
-    def nearest(
-        self, i: int, car_type: CarType
-    ) -> List[Tuple[float, int]]:
-        """The per-location result, shaped like ``nearest_rows``."""
-        seg = self._per_type.get(car_type)
-        if seg is None:
-            return []
-        dists, rows = seg
-        return list(zip(dists[i], rows[i]))
-
 
 class FleetArray:
     """All fleets' mutable hot state, columnar.
@@ -203,11 +191,6 @@ class FleetArray:
         self.tgt_lat = np.zeros(n, dtype=np.float64)
         self.tgt_lon = np.zeros(n, dtype=np.float64)
         self.has_target = np.zeros(n, dtype=bool)
-        #: Stashed trip dropoff, promoted to the navigation target when
-        #: an EN_ROUTE driver reaches the pickup (the batched
-        #: EN_ROUTE→ON_TRIP transition).
-        self.drop_lat = np.zeros(n, dtype=np.float64)
-        self.drop_lon = np.zeros(n, dtype=np.float64)
         #: Session deadline (`planned_offline_at`); +inf while offline.
         self.planned_off = np.full(n, np.inf, dtype=np.float64)
         # Path-vector ring buffers: the last PATH_VECTOR_LEN appends.
@@ -234,20 +217,6 @@ class FleetArray:
             ct: np.nonzero(ctype == code)[0]
             for ct, code in self.type_code.items()
         }
-        # Per-type idle row cache for the nearest-k / dispatch queries;
-        # membership changes only at evented transitions, so the cache
-        # survives whole ping rounds.
-        self._idle_rows: Dict[CarType, np.ndarray] = {}
-        #: Bumped on any position or idle-membership change; keys the
-        #: idle-struct and shared-distance caches below.
-        self._version = 0
-        # (version, rows_all, {type: (start, end)}, lat[rows], lon[rows]):
-        # every dispatchable row across all types, grouped by type, with
-        # coordinates gathered once.  A ping queries 8 types from one
-        # location, so one struct (and one distance evaluation, cached in
-        # ``_query``) serves the whole reply.
-        self._struct: Optional[_DispatchStruct] = None
-        self._query: Optional[Tuple[float, float, np.ndarray]] = None
 
         for i, d in enumerate(drivers):
             loc = d.location
@@ -271,7 +240,6 @@ class FleetArray:
         """Move row *r* to *value* (``Driver.location`` writes this)."""
         self.lat[r] = value.lat
         self.lon[r] = value.lon
-        self._version += 1
 
     def ring_triples(self, rows: Sequence[int]) -> List[PathTriples]:
         """Each row's path vector as ``(t, lat, lon)`` triples, oldest
@@ -307,8 +275,6 @@ class FleetArray:
         self.has_target[r] = False
         self.planned_off[r] = d.planned_offline_at
         self._reset_ring(r, now)
-        self._idle_rows.pop(d.car_type, None)
-        self._version += 1
 
     def on_offline(self, d: Driver) -> None:
         """Driver just signed off (object already cleared).  The row
@@ -318,21 +284,15 @@ class FleetArray:
         self.has_target[r] = False
         self.planned_off[r] = np.inf
         self.path_cnt[r] = 0
-        self._idle_rows.pop(d.car_type, None)
-        self._version += 1
 
     def on_assign(self, d: Driver, trip: Trip) -> None:
-        """Driver just accepted a trip: navigate to the pickup, stash
-        the dropoff for the batched promotion at arrival."""
+        """Driver just accepted a trip: navigate to the pickup.  The
+        dropoff is read from the trip at the batched promotion."""
         r = d._row
         self.state[r] = EN_ROUTE
         self.tgt_lat[r] = trip.pickup.lat
         self.tgt_lon[r] = trip.pickup.lon
-        self.drop_lat[r] = trip.dropoff.lat
-        self.drop_lon[r] = trip.dropoff.lon
         self.has_target[r] = False
-        self._idle_rows.pop(d.car_type, None)
-        self._version += 1
 
     def on_back_idle(self, d: Driver, now: float) -> None:
         """Driver re-identified after a dropoff: fresh path vector."""
@@ -368,11 +328,11 @@ class FleetArray:
         target), the same interpolation, and the idle half-speed factor
         applied as ``speed * (dt * 0.5)`` exactly as the scalar path
         does.  Arrivals trigger the batched transitions (a pickup
-        arrival's ON_TRIP state is written to its ``Driver`` too); all
+        arrival's ON_TRIP state is written to its ``Driver``, and the
+        dropoff of that ``Driver``'s trip becomes its target); all
         movers get their path-ring append.  Returns the masks the
         engine's ordered RNG loop consumes.
         """
-        self._version += 1
         st = self.state
         has_tgt = self.has_target
         idle = st == IDLE
@@ -414,16 +374,17 @@ class FleetArray:
             pickup = arr_rows[st_arr == EN_ROUTE]
             if pickup.size:
                 st[pickup] = ON_TRIP
-                self.tgt_lat[pickup] = self.drop_lat[pickup]
-                self.tgt_lon[pickup] = self.drop_lon[pickup]
                 drivers = self.drivers
                 for r in pickup.tolist():
-                    drivers[r].state = DriverState.ON_TRIP
+                    d = drivers[r]
+                    d.state = DriverState.ON_TRIP
+                    assert d.trip is not None
+                    self.tgt_lat[r] = d.trip.dropoff.lat
+                    self.tgt_lon[r] = d.trip.dropoff.lon
             done = arr_rows[st_arr == ON_TRIP]
             if done.size:
                 st[done] = IDLE
                 masks.completed[done] = True
-                self._idle_rows.clear()
             ca = arr_rows[st_arr == IDLE]
             if ca.size:
                 has_tgt[ca] = False
@@ -443,7 +404,6 @@ class FleetArray:
         )
         self.lat[r] = la + dlat
         self.lon[r] = self.lon[r] + dlon
-        self._version += 1
 
     def finish_step(
         self,
@@ -467,7 +427,6 @@ class FleetArray:
         if wobbled_rows:
             rows = np.array(wobbled_rows, dtype=np.int64)
             self._ring_append(rows, now)
-        self._version += 1
 
     def _ring_append(self, rows: np.ndarray, now: float) -> None:
         """Append one path-ring entry for every row in *rows*."""
@@ -483,15 +442,10 @@ class FleetArray:
     def idle_rows(self, car_type: CarType) -> np.ndarray:
         """Rows of the currently dispatchable drivers of *car_type*,
         ascending (so position order is driver-id order)."""
-        rows = self._idle_rows.get(car_type)
-        if rows is None:
-            all_rows = self.rows_by_type.get(car_type)
-            if all_rows is None:
-                rows = np.empty(0, dtype=np.int64)
-            else:
-                rows = all_rows[self.state[all_rows] == IDLE]
-            self._idle_rows[car_type] = rows
-        return rows
+        all_rows = self.rows_by_type.get(car_type)
+        if all_rows is None:
+            return np.empty(0, dtype=np.int64)
+        return all_rows[self.state[all_rows] == IDLE]
 
     def online_mask_rows(self, car_type: CarType) -> np.ndarray:
         """Rows of the currently online drivers of *car_type*."""
@@ -500,93 +454,55 @@ class FleetArray:
             return np.empty(0, dtype=np.int64)
         return all_rows[self.state[all_rows] != OFFLINE]
 
-    def distances_to(
-        self, rows: np.ndarray, location: LatLon
-    ) -> np.ndarray:
-        """Equirectangular metres from each row to *location*,
-        bit-identical to ``LatLon.fast_distance_m``."""
+    def nearest(
+        self,
+        lats: np.ndarray,
+        lons: np.ndarray,
+        car_type: CarType,
+        k: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The k nearest idle rows of *car_type* to each location.
+
+        Returns ``(distances, rows)``, both of shape ``(locations,
+        min(k, idle rows))``, each location's rows ordered by
+        ``(distance, driver_id)`` exactly like the brute scan.  The
+        distances are one location × idle-row matrix of
+        ``equirectangular_m``, vectorized verbatim and elementwise, so
+        each entry is the float ``LatLon.fast_distance_m`` computes
+        whatever the batch.  Idle rows are ascending, so column order
+        is driver-id order and both selections break distance ties by
+        id: ``argmin`` returns the first minimum, and a stable
+        ``argsort`` keeps equal distances in column order.  ``k == 1``
+        (dispatch, EWT and the centroid probes) takes the linear
+        ``argmin`` because a sort there would cost every tick a sort of
+        each centroid's idle-UberX row; larger k (ping replies) sort.
+        """
+        rows = self.idle_rows(car_type)
+        if k <= 0 or not rows.size:
+            n = lats.size
+            return np.empty((n, 0)), np.empty((n, 0), dtype=np.int64)
         la = self.lat[rows]
         lo = self.lon[rows]
-        x = np.radians(location.lon - lo) * np.cos(
-            np.radians((la + location.lat) / 2.0)
-        )
-        y = np.radians(location.lat - la)
-        return EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-
-    def _dispatchable_struct(self) -> _DispatchStruct:
-        """Every dispatchable row, grouped by car type, coordinates
-        gathered — rebuilt only when :attr:`_version` moves."""
-        s = self._struct
-        if s is not None and s[0] == self._version:
-            return s
-        bounds: Dict[CarType, Tuple[int, int]] = {}
-        segments = []
-        pos = 0
-        for ct in self.type_code:
-            rows = self.idle_rows(ct)
-            bounds[ct] = (pos, pos + rows.size)
-            pos += rows.size
-            segments.append(rows)
-        rows_all = (
-            np.concatenate(segments) if segments
-            else np.empty(0, dtype=np.int64)
-        )
-        s = (
-            self._version,
-            rows_all,
-            bounds,
-            self.lat[rows_all],
-            self.lon[rows_all],
-        )
-        self._struct = s
-        self._query = None
-        return s
+        qla = lats[:, None]
+        qlo = lons[:, None]
+        x = np.radians(qlo - lo) * np.cos(np.radians((la + qla) / 2.0))
+        y = np.radians(qla - la)
+        dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
+        if k == 1:
+            order = np.argmin(dist, axis=1)[:, None]
+        else:
+            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        return np.take_along_axis(dist, order, axis=1), rows[order]
 
     def nearest_rows(
         self, location: LatLon, car_type: CarType, k: int
     ) -> List[Tuple[float, int]]:
         """The k nearest idle rows as ``(distance_m, row)``, ordered by
-        ``(distance, driver_id)`` exactly like the brute scan.
-
-        A `pingClient` reply queries every car type from one location,
-        so distances to *all* dispatchable rows are evaluated in a
-        single numpy pass and memoized per ``(position state, query
-        point)``; each per-type call then only pays for its own top-k
-        selection on a slice.
-        """
-        if k <= 0:
-            return []
-        _, rows_all, bounds, la_all, lo_all = self._dispatchable_struct()
-        seg = bounds.get(car_type)
-        if seg is None or seg[0] == seg[1]:
-            return []
-        qlat = location.lat
-        qlon = location.lon
-        q = self._query
-        if q is not None and q[0] == qlat and q[1] == qlon:
-            d_all = q[2]
-        else:
-            # equirectangular_m, vectorized verbatim (elementwise, so
-            # values are identical whatever the batch grouping).
-            x = np.radians(qlon - lo_all) * np.cos(
-                np.radians((la_all + qlat) / 2.0)
-            )
-            y = np.radians(qlat - la_all)
-            d_all = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-            self._query = (qlat, qlon, d_all)
-        s0, s1 = seg
-        d = d_all[s0:s1]
-        rows = rows_all[s0:s1]
-        if rows.size <= k:
-            order = np.argsort(d, kind="stable")[:k]
-        else:
-            # Cheap pre-cut at the kth smallest distance, then a stable
-            # sort of the (tiny) candidate set; ties at the cut survive
-            # into the sort, so (distance, id) ordering is exact.
-            cut = np.partition(d, k - 1)[k - 1]
-            cand = np.nonzero(d <= cut)[0]
-            order = cand[np.argsort(d[cand], kind="stable")][:k]
-        return list(zip(d[order].tolist(), rows[order].tolist()))
+        ``(distance, driver_id)``: :meth:`nearest` at one location."""
+        dists, rows = self.nearest(
+            np.array([location.lat]), np.array([location.lon]), car_type, k
+        )
+        return list(zip(dists[0].tolist(), rows[0].tolist()))
 
     def round_nearest(
         self,
@@ -597,55 +513,26 @@ class FleetArray:
     ) -> RoundNearest:
         """Batch :meth:`nearest_rows` over one round of ping locations.
 
-        One distance matrix per (fleet, car type) — ``(n locations ×
-        type's dispatchable rows)``, evaluated with the elementwise
-        ``equirectangular_m`` arithmetic of the per-query path, so every
-        entry is the identical float — followed by one stable argsort
-        per type segment.  The k smallest by ``(distance, position)``
-        per row are exactly the candidates the per-query
-        partition-and-cut selection keeps, so replies served off this
-        struct are bit-identical to per-client serving.
+        One :meth:`nearest` call per car type against every ping
+        location, so each location's rows and distances are the ones
+        :meth:`nearest_rows` returns for it alone, and replies served
+        off the result are bit-identical to per-client serving.
 
         *car_types* restricts the work to the types the round will
         actually serve (a type-restricted measurement fleet only needs
-        one segment); ``None`` computes every type.  The served rows'
-        positions and path triples are gathered here too, so the round's
-        car views need no per-driver reads.
+        one); ``None`` computes every type.  The served rows' positions
+        and path triples are gathered here too, so the round's car views
+        need no per-driver reads.
         """
         per_type: Dict[
             CarType, Tuple[List[List[float]], List[List[int]]]
         ] = {}
-        if k <= 0 or lats.size == 0:
-            return RoundNearest(per_type)
-        _, rows_all, bounds, la_all, lo_all = self._dispatchable_struct()
-        wanted = (
-            list(bounds.items())
-            if car_types is None
-            else [(ct, bounds[ct]) for ct in car_types if ct in bounds]
-        )
-        lats_col = lats[:, None]
-        lons_col = lons[:, None]
         served: List[np.ndarray] = []
-        for ct, (s0, s1) in wanted:
-            if s1 <= s0:
-                continue
-            la = la_all[None, s0:s1]
-            lo = lo_all[None, s0:s1]
-            # equirectangular_m, vectorized verbatim (elementwise, so
-            # each matrix entry equals the per-query 1-D evaluation).
-            x = np.radians(lons_col - lo) * np.cos(
-                np.radians((la + lats_col) / 2.0)
-            )
-            y = np.radians(lats_col - la)
-            dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-            # Stable argsort orders by (distance, segment position) =
-            # (distance, driver id); its first k are the per-query
-            # partition+cut+stable-sort winners, tie-break included.
-            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-            d_sel = np.take_along_axis(dist, order, axis=1)
-            rows_sel = rows_all[s0:s1][order]
-            served.append(rows_sel.ravel())
-            per_type[ct] = (d_sel.tolist(), rows_sel.tolist())
+        for ct in (self.type_code if car_types is None else car_types):
+            dists, rows = self.nearest(lats, lons, ct, k)
+            if rows.size:
+                served.append(rows.ravel())
+                per_type[ct] = (dists.tolist(), rows.tolist())
         if not served:
             return RoundNearest(per_type)
         rows = np.unique(np.concatenate(served))
@@ -656,33 +543,3 @@ class FleetArray:
             self.lon[rows].tolist(),
             self.ring_triples(rows),
         )
-
-    # ------------------------------------------------------------------
-    # Derived views
-    # ------------------------------------------------------------------
-    def headings_deg(self) -> np.ndarray:
-        """Instantaneous heading per driver, degrees clockwise from
-        north (NaN when stationary or with fewer than two path points).
-
-        Derived from the last path-ring segment; diagnostic only — the
-        simulation itself never consumes headings.
-        """
-        out = np.full(self.n, np.nan, dtype=np.float64)
-        cnt = self.path_cnt
-        ok = np.nonzero(cnt >= 2)[0]
-        if not ok.size:
-            return out
-        last = (cnt[ok] - 1) % PATH_VECTOR_LEN
-        prev = (cnt[ok] - 2) % PATH_VECTOR_LEN
-        la1 = self.path_lat[ok, prev]
-        lo1 = self.path_lon[ok, prev]
-        la2 = self.path_lat[ok, last]
-        lo2 = self.path_lon[ok, last]
-        dy = np.radians(la2 - la1)
-        dx = np.radians(lo2 - lo1) * np.cos(np.radians((la1 + la2) / 2.0))
-        moved = (dx != 0.0) | (dy != 0.0)
-        out[ok[moved]] = np.degrees(
-            np.arctan2(dx[moved], dy[moved])
-        ) % 360.0
-        return out
-

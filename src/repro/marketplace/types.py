@@ -27,10 +27,6 @@ class CarType(enum.Enum):
     UBERWAV = "uberWAV"
 
     @property
-    def display_name(self) -> str:
-        return self.value
-
-    @property
     def is_low_cost(self) -> bool:
         """The paper's "low-priced Ubers": X, XL, FAMILY, and POOL (§4.1)."""
         return self in _LOW_COST

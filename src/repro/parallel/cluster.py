@@ -42,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import traceback as traceback_module
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from typing import (
     Any,
     Callable,
@@ -61,6 +61,7 @@ from repro.parallel.orchestrator import (
     CampaignSpec,
     ensure_unique_keys,
     execute_campaign,
+    process_pool,
     resolve_workers,
 )
 
@@ -79,10 +80,6 @@ def parse_hostport(address: str) -> Tuple[str, int]:
     if not sep or not host or not 0 <= port <= 65535:
         raise ValueError(f"expected HOST:PORT, got {address!r}")
     return host, port
-
-
-def _default_executor_factory(jobs: int) -> Executor:
-    return ProcessPoolExecutor(max_workers=jobs)
 
 
 class _WorkerConnection:
@@ -440,7 +437,8 @@ class ClusterWorker:
     """Run campaigns for a dispatcher over one or many sessions.
 
     Wraps :func:`execute_campaign` behind a local executor (by default
-    a :class:`ProcessPoolExecutor` of ``jobs`` workers).  One
+    :func:`~repro.parallel.orchestrator.process_pool`: ``jobs`` worker
+    processes that die with this one).  One
     ``next`` is pulled per free slot; outcomes stream back as they
     finish.  A broken executor is rebuilt and reported per campaign —
     never propagated to the session.
@@ -452,7 +450,7 @@ class ClusterWorker:
         executor_factory: Optional[Callable[[int], Executor]] = None,
     ) -> None:
         self.jobs = resolve_workers(jobs)
-        self._executor_factory = executor_factory or _default_executor_factory
+        self._executor_factory = executor_factory or process_pool
         self._executor: Optional[Executor] = None  # guarded-by: <event-loop>
         self._server: Optional["asyncio.Server"] = None  # guarded-by: <event-loop>
         self.campaigns_run = 0  # guarded-by: <event-loop>

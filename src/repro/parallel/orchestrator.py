@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -46,6 +47,9 @@ from repro.measurement.placement import place_clients
 #: to fill a typical workstation, small enough not to oversubscribe
 #: small CI boxes.
 DEFAULT_WORKER_CAP = 4
+
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL_S = 0.25
 
 #: City name -> config factory, the same names ``repro measure --city``
 #: accepts.  Factories take the jitter probability.
@@ -67,6 +71,33 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 1:
         raise ValueError("parallel workers must be >= 1")
     return workers
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: end the worker once *parent_pid* dies.
+
+    A parent that is SIGKILLed never tells its pool to shut down, so
+    the workers would stay blocked on the call queue for good,
+    reparented.  A daemon thread notices the new parent pid and exits.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="exit-with-parent", daemon=True
+    ).start()
+
+
+def process_pool(jobs: int) -> ProcessPoolExecutor:
+    """A pool of *jobs* worker processes that die with this process."""
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
 
 
 @dataclass(frozen=True)
@@ -277,7 +308,7 @@ def run_sweep(
     if effective_jobs <= 1:
         return [execute_campaign(spec) for spec in specs]
     outcomes: Dict[str, CampaignOutcome] = {}
-    with ProcessPoolExecutor(max_workers=effective_jobs) as executor:
+    with process_pool(effective_jobs) as executor:
         # Guarded submission: ``executor.submit`` itself can raise (a
         # pool already broken by a dead worker, interpreter shutdown).
         # An unguarded comprehension would let that escape with every

@@ -665,6 +665,65 @@ class TestRealSocketCluster:
         assert all(o.ok for o in outcomes), [o.error for o in outcomes]
         assert {o.key: o.truth_digest for o in outcomes} == expected
 
+    def test_pool_children_die_with_a_killed_worker(self):
+        """A SIGKILLed `repro worker` takes its pool processes along.
+
+        Nothing tells the pool of a killed process to shut down, so
+        without the parent watch its children stay blocked on the call
+        queue, reparented, for as long as the host runs.
+        """
+        self._skip_unless_sockets()
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to find a process's children")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "worker",
+             "--listen", "127.0.0.1:0", "--jobs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, env=_worker_env(),
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            address = line.split("listening on ")[1].split()[0]
+            [outcome] = run_cluster_sweep(self.SPECS[:1], [address])
+            assert outcome.ok, outcome.error
+            children = _children_of(proc.pid)
+            assert children  # the pool outlives the sweep
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while _running(children) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _running(children)
+
+
+def _proc_stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name, or
+    ``None`` once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+
+
+def _children_of(pid):
+    """Pids whose parent is *pid*, read from ``/proc/*/stat``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(entry)
+            if stat is not None and int(stat[1]) == pid:
+                children.append(int(entry))
+    return children
+
+
+def _running(pids):
+    """The pids in *pids* that still run (a zombie has exited)."""
+    return [pid for pid in pids
+            if (stat := _proc_stat(pid)) is not None and stat[0] != "Z"]
+
 
 def _worker_env():
     env = dict(os.environ)

@@ -22,9 +22,6 @@ matrix on a bigger scenario.
 from __future__ import annotations
 
 import dataclasses
-import math
-import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -245,33 +242,6 @@ def test_ring_reset_after_wrap_starts_fresh():
     assert len(d.path_triples()) == 2
 
 
-def test_headings_all_nan_when_no_ring_has_two_points():
-    """A fleet where nobody has moved (every ring has at most one
-    point) short-circuits to the all-NaN vector."""
-    drivers = _tiny_fleet(3)
-    fleet = FleetArray(drivers)
-    headings = fleet.headings_deg()
-    assert headings.shape == (3,)
-    assert all(math.isnan(h) for h in headings)
-
-
-def test_heading_nan_for_stationary_two_point_ring():
-    """Two ring points at the same position (a driver pinged twice
-    without moving) is 'stationary', not heading 0."""
-    import numpy as np
-
-    drivers = _tiny_fleet(2)
-    fleet = FleetArray(drivers)
-    fleet._reset_ring(0, 0.0)
-    fleet._ring_append(np.array([0]), 1.0)  # no position change
-    fleet._reset_ring(1, 0.0)
-    fleet.lon[1] += 0.001  # due east
-    fleet._ring_append(np.array([1]), 1.0)
-    headings = fleet.headings_deg()
-    assert math.isnan(headings[0])
-    assert abs(headings[1] - 90.0) < 1e-6
-
-
 def test_nearest_rows_matches_reference_scan():
     import random
 
@@ -301,8 +271,8 @@ def test_nearest_rows_matches_reference_scan():
 
 
 def test_nearest_rows_shared_distance_cache_tracks_movement():
-    """The per-location distance memo must invalidate when anything
-    moves — a query after a position write sees the new world."""
+    """Nothing is cached between queries: a query after a position
+    write sees the new world."""
     drivers = _tiny_fleet(4)
     fleet = FleetArray(drivers)
     import random
@@ -318,6 +288,60 @@ def test_nearest_rows_shared_distance_cache_tracks_movement():
     drivers[0].location = LatLon(40.7022, -73.9982)
     second = fleet.nearest_rows(query, CarType.UBERX, 1)
     assert second[0] == (0.0, 0)
+
+
+def test_nearest_ties_break_by_driver_id_at_the_cut():
+    """Equal distances rank by driver id wherever the nearest cars are
+    asked for: one car (dispatch, EWT), a k = 3 cut through a three-way
+    tie, a batched round, and the oracle's scan."""
+    import random
+
+    import numpy as np
+
+    from repro.marketplace.dispatch import Dispatcher
+
+    q = LatLon(40.75, -74.0)
+    step = 2.0 ** -7  # every coordinate below is exact in binary
+    east = LatLon(q.lat, q.lon + step)
+    west = LatLon(q.lat, q.lon - step)
+    north = LatLon(q.lat + 2 * step, q.lon)
+    south = LatLon(q.lat - 2 * step, q.lon)
+    far = LatLon(q.lat + 4 * step, q.lon)
+    # Row r is driver r + 1; the UberBLACK on the query point is out of
+    # every UberX answer.
+    places = [far, north, east, south, west, north, q]
+    drivers = [
+        Driver(
+            driver_id=r + 1,
+            car_type=CarType.UBERX if r < 6 else CarType.UBERBLACK,
+            location=loc,
+            speed_mps=5.0,
+        )
+        for r, loc in enumerate(places)
+    ]
+    fleet = FleetArray(drivers)
+    rng = random.Random(1)
+    for d in drivers:
+        d.come_online(0.0, 3600.0, rng)
+        fleet.on_online(d, 0.0)
+    dist = [d.location.fast_distance_m(q) for d in drivers]
+    # The ties are exact, so driver id is all that orders them.
+    assert dist[2] == dist[4] < dist[1] == dist[3] == dist[5] < dist[0]
+
+    k1 = fleet.nearest_rows(q, CarType.UBERX, 1)
+    k3 = fleet.nearest_rows(q, CarType.UBERX, 3)
+    assert k1 == [(dist[2], 2)]
+    assert k3 == [(dist[2], 2), (dist[4], 4), (dist[1], 1)]
+    batch = fleet.round_nearest(
+        np.array([q.lat, q.lat]), np.array([q.lon, q.lon]), 3
+    )
+    seg = batch.segment(CarType.UBERX)
+    assert seg is not None
+    assert seg == ([[d for d, _ in k3]] * 2, [[r for _, r in k3]] * 2)
+    oracle = Dispatcher()
+    for k, rows in ((1, [2]), (3, [2, 4, 1])):
+        got = oracle.nearest_idle(drivers, q, CarType.UBERX, k=k)
+        assert [d.driver_id - 1 for d in got] == rows
 
 
 def test_attached_driver_reads_through_to_its_row():
@@ -375,22 +399,6 @@ def test_production_driver_state_matches_arrays():
     assert ON_TRIP in states  # a trip is under way, so the check bites
 
 
-def test_headings_derive_from_last_ring_segment():
-    import numpy as np
-
-    drivers = _tiny_fleet(2)
-    fleet = FleetArray(drivers)
-    # Driver 0: two ring points moving due north => heading ~0 deg.
-    fleet.path_cnt[0] = 0
-    fleet._reset_ring(0, 0.0)
-    fleet.lat[0] += 0.001
-    fleet._ring_append(np.array([0]), 1.0)
-    headings = fleet.headings_deg()
-    assert abs(headings[0]) < 1e-6
-    # Driver 1 never moved: no heading.
-    assert math.isnan(headings[1])
-
-
 def test_offline_driver_serves_empty_path():
     import random
 
@@ -418,6 +426,10 @@ def test_marketplace_coverage_floor_configured():
     installs coverage and runs ``make coverage`` on every push)
     enforces the documented floor.
     """
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # pragma: no cover - py<3.11 fallback
+        pytest.skip("tomllib unavailable to parse pyproject")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     data = tomllib.loads(pyproject.read_text())
     run_cfg = data["tool"]["coverage"]["run"]

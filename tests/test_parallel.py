@@ -242,7 +242,7 @@ class _FlakySubmitExecutor:
     keyed ``bad*`` — modelling a pool broken between submissions — and
     otherwise resolves inline with a completed Future."""
 
-    def __init__(self, max_workers=None):
+    def __init__(self, max_workers=None, initializer=None, initargs=()):
         self.max_workers = max_workers
 
     def __enter__(self):
