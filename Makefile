@@ -8,7 +8,7 @@ PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint lint-concurrency typecheck test perfbench-selftest \
-	bench-quick serve-bench bench-cluster coverage check
+	fig04-check bench-quick serve-bench bench-cluster coverage check
 
 ## Both lint passes (determinism REP001-REP006 + concurrency
 ## REP101-REP105) over the source tree.
@@ -42,6 +42,15 @@ test:
 ## calls into src by name, so a rename or deletion there fails here.
 perfbench-selftest:
 	$(PY) perfbench/run.py --self-test
+
+## Fig 4's taxi validation end to end (trace generator, replayer,
+## measurement fleet, capture-rate scoring), with its table pinned: the
+## bench rewrites benchmarks/out/fig04_taxi_validation.txt, and any
+## byte that differs from the committed file fails the target.
+fig04-check:
+	$(PY) -m pytest benchmarks/bench_fig04_taxi_validation.py -q \
+		--benchmark-disable
+	git diff --exit-code -- benchmarks/out/fig04_taxi_validation.txt
 
 ## Quick perf bench: the production engine against the oracle
 ## (use_vectorized_step on/off) and batched against per-client ping

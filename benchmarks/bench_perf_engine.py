@@ -5,9 +5,9 @@ only ever change speed, never behaviour:
 
 * **production** (``use_vectorized_step=True``, the default) — numpy
   structure-of-arrays fleet stepping
-  (:mod:`repro.marketplace.fleet_array`), point→area lookups through
-  an ``AreaIndex``, and whole ping rounds answered by one batched,
-  serial ``PingEndpoint.serve_round`` pass over
+  (:mod:`repro.marketplace.fleet_array`), the per-tick idle-car census
+  counted by one ``PolygonSet`` pass, and whole ping rounds answered by
+  one batched, serial ``PingEndpoint.serve_round`` pass over
   ``FleetArray.round_nearest``;
 * **oracle** (``use_vectorized_step=False``) — ``Driver`` objects
   stepped one by one, brute-force linear dispatch and area scans, and

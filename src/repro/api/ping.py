@@ -127,10 +127,12 @@ class PingEndpoint(PingServer):
         One distance matrix per (fleet, car type) against every ping
         location (:meth:`MarketplaceEngine.round_query`), one gather of
         the served cars' positions and path triples from the fleet
-        arrays, one batched point→area gather, and per-account jitter
-        staleness resolved once per round — instead of N independent
-        :meth:`ping` calls re-deriving all of it.  Serial, on the
-        calling thread.
+        arrays, and per-account jitter staleness resolved once per
+        round — instead of N independent :meth:`ping` calls re-deriving
+        all of it.  Each request's surge area comes from the same
+        first-match polygon scan :meth:`ping` uses
+        (:meth:`MarketplaceEngine.area_id_of`).  Serial, on the calling
+        thread.
         Reply-for-reply bit-identical to the per-client path (the
         production-against-oracle tests enforce it); falls back to it
         when the engine declines the batch query (the oracle engine,
@@ -174,7 +176,6 @@ class PingEndpoint(PingServer):
                 self.ping(account_id, location, car_types)
                 for account_id, location, car_types in requests
             ]
-        area_ids = engine.round_area_ids(lats, lons)
         now = engine.clock.now
         drivers = engine.drivers
         # The engine does not advance while a round is served, so each
@@ -204,7 +205,7 @@ class PingEndpoint(PingServer):
                     account_id, now
                 )
             stale = stale_memo[account_id]
-            area_id = area_ids[i]
+            area_id = engine.area_id_of(location)
             statuses = []
             for car_type in (
                 all_types if car_types is None else car_types

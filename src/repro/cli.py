@@ -88,6 +88,8 @@ _non_negative = _checked(float, lambda v: 0.0 <= v < math.inf,
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0,
                         "a probability in [0, 1]")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_port = _checked(int, lambda v: 0 <= v <= 65535,
+                 "a port in [0, 65535]")
 
 
 def _seed_list(text: str) -> List[int]:
@@ -590,9 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate",
                               help="taxi ground-truth validation")
-    validate.add_argument("--cabs", type=int, default=300)
-    validate.add_argument("--hours", type=float, default=2.0)
-    validate.add_argument("--ping-interval", type=float, default=10.0)
+    validate.add_argument("--cabs", type=_positive_int, default=300)
+    validate.add_argument("--hours", type=_positive, default=2.0)
+    validate.add_argument("--ping-interval", type=_positive, default=10.0)
     validate.add_argument("--seed", type=int, default=2013)
     validate.set_defaults(func=cmd_validate)
 
@@ -605,10 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a 2013-format TLC trip_data CSV "
              "(omit to summarize a synthetic trace)",
     )
-    tracestats.add_argument("--cabs", type=int, default=300)
-    tracestats.add_argument("--days", type=float, default=1.0)
+    tracestats.add_argument("--cabs", type=_positive_int, default=300)
+    tracestats.add_argument("--days", type=_positive, default=1.0)
     tracestats.add_argument("--seed", type=int, default=2013)
-    tracestats.add_argument("--max-rows", type=int, default=None)
+    tracestats.add_argument("--max-rows", type=_positive_int, default=None)
     tracestats.add_argument(
         "--compare-synthetic", action="store_true",
         help="also generate a synthetic trace and print the ratio table",
@@ -619,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="render the Partner-app surge map")
     surgemap.add_argument("--city", default="manhattan",
                           choices=("manhattan", "sf"))
-    surgemap.add_argument("--hour", type=float, default=18.0)
+    surgemap.add_argument("--hour", type=_non_negative, default=18.0)
     surgemap.add_argument("--seed", type=int, default=2015)
     surgemap.set_defaults(func=cmd_surgemap)
 
@@ -627,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="visibility-radius experiment")
     calibrate.add_argument("--city", default="manhattan",
                            choices=("manhattan", "sf"))
-    calibrate.add_argument("--hour", type=float, default=9.0)
+    calibrate.add_argument("--hour", type=_non_negative, default=9.0)
     calibrate.add_argument("--seed", type=int, default=2015)
     calibrate.set_defaults(func=cmd_calibrate)
 
@@ -638,18 +640,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--city", default="sf",
                        choices=("manhattan", "sf"))
-    serve.add_argument("--hour", type=float, default=9.0,
+    serve.add_argument("--hour", type=_non_negative, default=9.0,
                        help="simulated hours to warm the engine before "
-                            "serving (default 9)")
+                            "serving (default 9; 0 = no warm-up)")
     serve.add_argument("--seed", type=int, default=2015)
-    serve.add_argument("--jitter", type=float, default=0.25)
+    serve.add_argument("--jitter", type=_probability, default=0.25)
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8015,
+    serve.add_argument("--port", type=_port, default=8015,
                        help="TCP port (0 = ephemeral)")
-    serve.add_argument("--rate-limit", type=int, default=1000,
+    serve.add_argument("--rate-limit", type=_positive_int, default=1000,
                        help="REST requests per hour per account "
                             "(the paper's 1000/h cap, §3.2)")
-    serve.add_argument("--coalesce-ms", type=float, default=2.0,
+    serve.add_argument("--coalesce-ms", type=_non_negative, default=2.0,
                        help="how long the first ping of a round waits "
                             "for concurrent pings to join the batch")
     serve.set_defaults(func=cmd_serve)

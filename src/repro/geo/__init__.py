@@ -6,7 +6,8 @@ latitude/longitude pairs.  This package provides the small amount of
 spherical geometry the paper relies on:
 
 * great-circle and fast equirectangular distances (:mod:`repro.geo.latlon`),
-* point-in-polygon tests for surge areas (:mod:`repro.geo.polygon`),
+* point-in-polygon tests for surge areas, one point at a time or a
+  whole batch at once (:mod:`repro.geo.polygon`),
 * measurement-grid generation (:mod:`repro.geo.grid`),
 * the two city models used throughout the study (:mod:`repro.geo.regions`).
 """
@@ -21,8 +22,7 @@ from repro.geo.latlon import (
     haversine_m,
     walking_minutes,
 )
-from repro.geo.index import AreaIndex, PointIndex
-from repro.geo.polygon import BoundingBox, Polygon
+from repro.geo.polygon import BoundingBox, Polygon, PolygonSet
 from repro.geo.grid import GridSpec, grid_cover, hex_grid_cover
 from repro.geo.regions import (
     CityRegion,
@@ -40,10 +40,9 @@ __all__ = [
     "equirectangular_m",
     "haversine_m",
     "walking_minutes",
-    "AreaIndex",
-    "PointIndex",
     "BoundingBox",
     "Polygon",
+    "PolygonSet",
     "GridSpec",
     "grid_cover",
     "hex_grid_cover",

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.geo.latlon import EARTH_RADIUS_M, LatLon, planar_distance
 
 
@@ -230,3 +232,53 @@ class Polygon:
             cx, cy = ax + t * dx, ay + t * dy
             best = min(best, planar_distance(px - cx, py - cy))
         return best
+
+
+class PolygonSet:
+    """First-match point-in-polygon over a whole batch of points.
+
+    ``first_match(lats, lons)[n]`` is the index of the first polygon
+    whose :meth:`Polygon.contains` holds for point *n*, or -1 when none
+    does.  Each crossing test runs ``contains``'s float operations in
+    its order, so the answer equals the first-match scan bit for bit.
+    The number of numpy calls does not grow with the number of polygons
+    or vertices: one (points x edges) pass finds every crossing, and one
+    product counts them per polygon.
+    """
+
+    def __init__(self, polygons: Sequence[Polygon]) -> None:
+        # (i.lat, j.lat, i.lon, j.lat - i.lat, j.lon - i.lon, polygon)
+        # per edge, with vertex i following vertex j as in
+        # Polygon.contains.  A horizontal edge never straddles a point's
+        # latitude, so it never crosses a ray.
+        table = np.array(
+            [
+                (vi.lat, vj.lat, vi.lon, vj.lat - vi.lat, vj.lon - vi.lon, k)
+                for k, poly in enumerate(polygons)
+                for vj, vi in poly.edges()
+                if vi.lat != vj.lat
+            ],
+            dtype=np.float64,
+        ).reshape(-1, 6)
+        self._ilat, self._jlat, self._ilon, self._dlat, self._dlon = (
+            table[:, :5].T.copy()
+        )
+        self._owner = np.zeros((len(table), len(polygons)), dtype=np.int64)
+        self._owner[np.arange(len(table)), table[:, 5].astype(np.int64)] = 1
+        self._west = np.array([p.bounding_box.west for p in polygons])
+        self._east = np.array([p.bounding_box.east for p in polygons])
+
+    def first_match(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
+        """Int64 index of each point's first containing polygon, or -1."""
+        if not self._west.size:
+            return np.full(len(lats), -1, dtype=np.int64)
+        lat = lats[:, None]
+        lon = lons[:, None]
+        x = self._ilon + (lat - self._ilat) / self._dlat * self._dlon
+        crossing = ((self._ilat > lat) != (self._jlat > lat)) & (lon < x)
+        # A latitude outside a polygon's box crosses none of its edges,
+        # but x can round an ulp past the box, so the longitude half of
+        # contains()'s box test stays.
+        inside = (crossing @ self._owner) % 2 == 1
+        inside &= (self._west <= lon) & (lon <= self._east)
+        return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)

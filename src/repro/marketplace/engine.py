@@ -29,8 +29,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.geo.index import AreaIndex
 from repro.geo.latlon import LatLon
+from repro.geo.polygon import PolygonSet
 from repro.geo.regions import SurgeAreaDef
 from repro.marketplace.clock import SimClock
 from repro.marketplace.config import CityConfig
@@ -87,13 +87,16 @@ class MarketplaceEngine:
     ``use_vectorized_step``:
 
     * **production** (the default): fleet state in a numpy
-      :class:`FleetArray`, point→area lookups through an
-      :class:`AreaIndex`, and whole ping rounds answered by one
+      :class:`FleetArray`, the per-tick idle-car census counted by one
+      :class:`PolygonSet` pass, and whole ping rounds answered by one
       batched, serial ``serve_round`` pass;
     * **oracle** (``use_vectorized_step=False``): ``Driver`` objects
-      stepped one by one, brute-force linear dispatch and area scans,
-      and one ``ping()`` per client — the readable reference the tests
-      hold the production path to.
+      stepped one by one, brute-force linear dispatch, a polygon scan
+      per idle car, and one ``ping()`` per client — the readable
+      reference the tests hold the production path to.
+
+    Both look a single point's surge area up with the same first-match
+    polygon scan (:meth:`area_id_of`).
 
     The flag must only ever change speed: same-seed truth logs, trip
     ledgers, ping replies, and RNG state are bit-identical on both
@@ -134,14 +137,6 @@ class MarketplaceEngine:
         self._centroids: Dict[int, LatLon] = {
             a.area_id: a.polygon.centroid() for a in self._area_list
         }
-        # Point→area lookups: a grid index on the production path, the
-        # brute first-match polygon scan on the oracle.  The index
-        # answers exactly like the scan, so the choice is speed only.
-        self._area_index: Optional[AreaIndex] = (
-            AreaIndex([(a.area_id, a.polygon) for a in self._area_list])
-            if use_vectorized_step
-            else None
-        )
 
         # Build the full driver pool (offline initially).
         self.drivers: List[Driver] = []
@@ -184,6 +179,9 @@ class MarketplaceEngine:
             # scalar path accumulates a set of driver ids; only the
             # count reaches the truth log).
             self._seen_online_x = np.zeros(len(self.drivers), dtype=bool)
+            self._surge_polygons = PolygonSet(
+                [a.polygon for a in self._area_list]
+            )
 
         # Ground-truth logging.
         self.truth: List[IntervalTruth] = []
@@ -338,12 +336,7 @@ class MarketplaceEngine:
     # Pricing lookups
     # ------------------------------------------------------------------
     def area_id_of(self, location: LatLon) -> Optional[int]:
-        if self._area_index is not None:
-            return self._area_index.locate(location)
-        return self._area_id_brute(location)
-
-    def _area_id_brute(self, location: LatLon) -> Optional[int]:
-        """Linear first-match scan (the oracle's area lookup)."""
+        """The first surge area whose polygon contains *location*."""
         for area in self._area_list:
             if area.polygon.contains(location):
                 return area.area_id
@@ -469,27 +462,6 @@ class MarketplaceEngine:
         if self._vec is None:
             return None
         return self._vec.round_nearest(lats, lons, k, car_types)
-
-    def round_area_ids(
-        self, lats: np.ndarray, lons: np.ndarray
-    ) -> List[Optional[int]]:
-        """Surge-area ids for a whole round of ping locations.
-
-        One vectorized point→area gather, identical per element to
-        :meth:`area_id_of` (``AreaIndex.locate_codes`` reproduces the
-        brute first-match scan exactly).  Only called on the batch path,
-        where the area index is always built.
-        """
-        area_list = self._area_list
-        if not area_list:
-            return [None] * int(lats.size)
-        area_index = self._area_index
-        assert area_index is not None
-        codes = area_index.locate_codes(lats, lons)
-        return [
-            area_list[c].area_id if c >= 0 else None
-            for c in codes.tolist()
-        ]
 
     def round_observed_multiplier(
         self,
@@ -854,8 +826,8 @@ class MarketplaceEngine:
     def _observe_vec(self, now: float) -> None:
         """Batched :meth:`_observe`: same observations, same order.
 
-        Per-area idle counts come from one vectorized point→area gather
-        (:meth:`AreaIndex.locate_codes` — exactly the first-match answer
+        Per-area idle counts come from one :class:`PolygonSet` pass
+        over the idle UberX positions (exactly the first-match answer
         the scalar loop computes per driver); per-centroid EWTs from one
         :meth:`FleetArray.nearest` call at the area centroids with k = 1,
         the nearest-1 query (and ``(distance, driver_id)`` tie-break)
@@ -863,12 +835,11 @@ class MarketplaceEngine:
         area in the same area-list order as the scalar loop.
         """
         vec = self._vec
-        area_index = self._area_index
-        assert vec is not None and area_index is not None
+        assert vec is not None
         area_list = self._area_list
         idle_x = vec.idle_rows(CarType.UBERX)
         if area_list:
-            codes = area_index.locate_codes(
+            codes = self._surge_polygons.first_match(
                 vec.lat[idle_x], vec.lon[idle_x]
             )
             counts = np.bincount(

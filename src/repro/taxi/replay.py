@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geo.index import PointIndex
 from repro.geo.latlon import LatLon
 from repro.api.models import CarView, PingReply, TypeStatus
 from repro.api.ping import PingServer
@@ -150,12 +149,10 @@ class TaxiReplayServer(PingServer):
         seed: int = 0,
         speed_mps: float = 5.0,
         nearest_k: int = 8,
-        use_spatial_index: bool = True,
     ) -> None:
         self.segments = build_segments(trips, seed=seed)
         self.speed_mps = speed_mps
         self.nearest_k = nearest_k
-        self.use_spatial_index = use_spatial_index
         self._trips = list(trips)
         self._now = 0.0
         self._next_idx = 0  # next segment (by start time) to activate
@@ -164,7 +161,6 @@ class TaxiReplayServer(PingServer):
         self._snap_lat: Optional[np.ndarray] = None
         self._snap_lon: Optional[np.ndarray] = None
         self._snap_segments: List[AvailabilitySegment] = []
-        self._snap_index: Optional[PointIndex] = None
         if self._trips:
             mean_lat = sum(t.pickup.lat for t in self._trips) / len(
                 self._trips
@@ -234,20 +230,6 @@ class TaxiReplayServer(PingServer):
             )
         self._snap_lat = lats
         self._snap_lon = lons
-        self._snap_index = None
-        if self.use_spatial_index and n:
-            # One grid build per timestep serves every client's ping —
-            # the fleet shares the snapshot, so each of the ~172 pings
-            # probes a handful of buckets instead of scanning all cabs.
-            index = PointIndex(
-                cell_m=400.0,
-                metric="planar",
-                deg_lat_m=_DEG_LAT_M,
-                deg_lon_m=float(self._deg_lon_m),
-            )
-            for i in range(n):
-                index.insert(i, LatLon(float(lats[i]), float(lons[i])))
-            self._snap_index = index
         self._snapshot_time = now
 
     # ------------------------------------------------------------------
@@ -266,24 +248,15 @@ class TaxiReplayServer(PingServer):
         ewt: Optional[float] = None
         if n > 0:
             k = min(self.nearest_k, n)
-            if self._snap_index is not None:
-                # Expanding-ring query over the snapshot grid.  The
-                # planar metric reproduces the vectorized dx*dx + dy*dy
-                # floats exactly and ties break by segment index, the
-                # same ordering the brute path below produces.
-                hits = self._snap_index.nearest_k(location, k)
-                order = [int(pid) for _, pid, _ in hits]
-                nearest2 = float(hits[0][0])
-            else:
-                dy = (self._snap_lat - location.lat) * _DEG_LAT_M
-                dx = (self._snap_lon - location.lon) * self._deg_lon_m
-                dist2 = dx * dx + dy * dy
-                # lexsort, not argpartition: ties (co-located cabs) must
-                # break by segment index so that the flag only changes
-                # speed, never which IDs a client observes.
-                idx = np.lexsort((np.arange(n), dist2))[:k]
-                order = [int(i) for i in idx]
-                nearest2 = float(dist2[order[0]])
+            dy = (self._snap_lat - location.lat) * _DEG_LAT_M
+            dx = (self._snap_lon - location.lon) * self._deg_lon_m
+            dist2 = dx * dx + dy * dy
+            # lexsort, not argpartition: ties (co-located cabs) break by
+            # segment index, so the IDs a client observes never hang on
+            # how a partial sort orders equal distances.
+            idx = np.lexsort((np.arange(n), dist2))[:k]
+            order = [int(i) for i in idx]
+            nearest2 = float(dist2[order[0]])
             views = []
             for i in order:
                 seg = self._snap_segments[i]

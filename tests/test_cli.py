@@ -39,12 +39,31 @@ class TestParser:
               "--workers", "127.0.0.1:9"], "--spec-timeout"),
             (["worker", "--jobs", "0", "--connect", "127.0.0.1:9"],
              "--jobs"),
+            (["validate", "--cabs", "0"], "--cabs"),
+            (["validate", "--hours", "-2"], "--hours"),
+            (["validate", "--ping-interval", "0"], "--ping-interval"),
+            (["tracestats", "--cabs", "-5"], "--cabs"),
+            (["tracestats", "--days", "-1"], "--days"),
+            (["tracestats", "--max-rows", "0"], "--max-rows"),
+            (["surgemap", "--hour", "-3"], "--hour"),
+            (["calibrate", "--hour", "nan"], "--hour"),
+            (["serve", "--hour", "-1"], "--hour"),
+            (["serve", "--jitter", "-0.1"], "--jitter"),
+            (["serve", "--port", "65536"], "--port"),
+            (["serve", "--rate-limit", "0"], "--rate-limit"),
+            (["serve", "--coalesce-ms", "inf"], "--coalesce-ms"),
         ],
         ids=[
             "hours-zero", "warmup-negative", "ping-interval-zero",
             "jitter-above-one", "jobs-negative", "seeds-not-integers",
             "max-attempts-zero", "spec-timeout-negative",
-            "worker-jobs-zero",
+            "worker-jobs-zero", "validate-cabs-zero",
+            "validate-hours-negative", "validate-ping-interval-zero",
+            "tracestats-cabs-negative", "tracestats-days-negative",
+            "tracestats-max-rows-zero", "surgemap-hour-negative",
+            "calibrate-hour-nan", "serve-hour-negative",
+            "serve-jitter-negative", "serve-port-above-65535",
+            "serve-rate-limit-zero", "serve-coalesce-infinite",
         ],
     )
     def test_malformed_numbers_are_usage_errors(self, argv, flag, capsys):
@@ -64,6 +83,14 @@ class TestParser:
             "sf", 9.0, 2015, 0.25
         )
         assert args.coalesce_ms == 2.0
+
+    def test_serve_edge_values_parse(self):
+        """Port 0 asks for an ephemeral port and hour 0 skips the
+        warm-up; both stay accepted."""
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--hour", "0", "--coalesce-ms", "0"]
+        )
+        assert (args.port, args.hour, args.coalesce_ms) == (0, 0.0, 0.0)
 
 
 class TestEndToEnd:

@@ -1,13 +1,15 @@
-"""Tests for bounding boxes and polygons."""
+"""Tests for bounding boxes, polygons and the batched first-match kernel."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.latlon import LatLon
-from repro.geo.polygon import BoundingBox, Polygon
+from repro.geo.polygon import BoundingBox, Polygon, PolygonSet
+from repro.geo.regions import downtown_sf, midtown_manhattan
 
 BOX = BoundingBox(south=40.70, west=-74.01, north=40.72, east=-73.98)
 
@@ -142,3 +144,228 @@ class TestBoundaryDistance:
         assert poly.distance_to_boundary_m(cp) < 1.0
         # And it is the eastern edge that is closest.
         assert cp.fast_distance_m(outside) == pytest.approx(400.0, rel=0.05)
+
+
+def brute_codes(polys, lats, lons):
+    """The first-match scan, one point at a time: index of the first
+    polygon containing each point, or -1."""
+    return [
+        next(
+            (k for k, poly in enumerate(polys) if poly.contains(LatLon(a, o))),
+            -1,
+        )
+        for a, o in zip(lats, lons)
+    ]
+
+
+def assert_matches_brute(polys, points):
+    """PolygonSet equals the brute scan on *points* as one batch, and on
+    each point alone."""
+    kernel = PolygonSet(polys)
+    lats = np.array([p.lat for p in points], dtype=np.float64)
+    lons = np.array([p.lon for p in points], dtype=np.float64)
+    codes = kernel.first_match(lats, lons)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == brute_codes(polys, lats, lons)
+    for a, o in zip(lats, lons):
+        single = kernel.first_match(np.array([a]), np.array([o]))
+        assert single.tolist() == brute_codes(polys, [a], [o])
+
+
+def edge_probes(polys, fracs=(0.5,)):
+    """Every vertex, and a point at each fraction along each edge, with
+    the ``np.nextafter`` neighbours of its latitude and longitude.  An
+    edge point off a horizontal edge takes its longitude from
+    :meth:`Polygon.contains`'s crossing formula, so the ray test of
+    each neighbour is decided by the last ulp."""
+    base = []
+    for poly in polys:
+        verts = poly.vertices
+        base.extend(verts)
+        for i, vi in enumerate(verts):
+            vj = verts[i - 1]
+            for f in fracs:
+                lat = vi.lat + f * (vj.lat - vi.lat)
+                if vi.lat == vj.lat:
+                    lon = vi.lon + f * (vj.lon - vi.lon)
+                else:
+                    lon = vi.lon + (lat - vi.lat) / (vj.lat - vi.lat) * (
+                        vj.lon - vi.lon
+                    )
+                base.append(LatLon(lat, lon))
+    steps = (-math.inf, 0.0, math.inf)
+    return [
+        LatLon(
+            p.lat if dlat == 0.0 else float(np.nextafter(p.lat, dlat)),
+            p.lon if dlon == 0.0 else float(np.nextafter(p.lon, dlon)),
+        )
+        for p in base
+        for dlat in steps
+        for dlon in steps
+    ]
+
+
+# A ~11 km box around lower Manhattan keeps coordinates in the regime
+# the simulator actually uses.
+LAT0, LAT1 = 40.70, 40.80
+LON0, LON1 = -74.02, -73.92
+# Queries may land outside the populated box (edge-of-city clients).
+query_st = st.builds(
+    LatLon,
+    st.floats(LAT0 - 0.05, LAT1 + 0.05, allow_nan=False),
+    st.floats(LON0 - 0.05, LON1 + 0.05, allow_nan=False),
+)
+
+
+@st.composite
+def area_polys(draw):
+    """A rectangle or triangle somewhere in the box (overlaps allowed)."""
+    lat = draw(st.floats(LAT0, LAT1 - 0.03, allow_nan=False))
+    lon = draw(st.floats(LON0, LON1 - 0.03, allow_nan=False))
+    if draw(st.booleans()):
+        h = draw(st.floats(0.002, 0.03, allow_nan=False))
+        w = draw(st.floats(0.002, 0.03, allow_nan=False))
+        return Polygon(
+            [
+                LatLon(lat, lon),
+                LatLon(lat, lon + w),
+                LatLon(lat + h, lon + w),
+                LatLon(lat + h, lon),
+            ]
+        )
+    dl = st.floats(0.0, 0.03, allow_nan=False)
+    return Polygon(
+        [
+            LatLon(lat, lon + draw(dl)),
+            LatLon(lat + draw(dl), lon + 0.03),
+            LatLon(lat + 0.03, lon + draw(dl)),
+        ]
+    )
+
+
+@st.composite
+def wide_polys(draw):
+    """A triangle or quadrilateral with vertices in [-3, 3]²."""
+    coord = st.floats(-3.0, 3.0, allow_nan=False)
+    n = draw(st.integers(3, 4))
+    return Polygon([LatLon(draw(coord), draw(coord)) for _ in range(n)])
+
+
+class TestPolygonSetMatchesBruteScan:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        polys=st.lists(area_polys(), max_size=5),
+        queries=st.lists(query_st, max_size=25),
+    )
+    def test_first_match_equals_brute_scan(self, polys, queries):
+        """Overlapping polygons resolve to the first in list order."""
+        assert_matches_brute(polys, queries)
+
+    @settings(max_examples=25, deadline=None)
+    @given(polys=st.lists(area_polys(), min_size=1, max_size=4))
+    def test_vertices_resolve_like_brute_scan(self, polys):
+        assert_matches_brute(
+            polys, [v for poly in polys for v in poly.vertices]
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        polys=st.lists(wide_polys(), min_size=1, max_size=3),
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    def test_edge_probes_resolve_like_brute_scan(self, polys, fracs):
+        """Around zero and across binades a coordinate difference is
+        inexact, so only contains()'s exact float order gives its
+        answer at points an ulp from an edge."""
+        assert_matches_brute(polys, edge_probes(polys, fracs))
+
+    def test_crossing_rounded_past_the_box_stays_outside(self):
+        """An edge's crossing longitude can round an ulp west of the
+        polygon's box.  The point an ulp west of the west vertex then
+        crosses one edge, not two; contains() rejects it by its box
+        test, and so must the kernel."""
+        west = LatLon(1.0, 0.3)
+        poly = Polygon([west, LatLon(2.0, 3.7), LatLon(2.5, 0.5)])
+        probe = LatLon(1.0, float(np.nextafter(0.3, -math.inf)))
+        assert not poly.contains(probe)
+        assert_matches_brute([poly], [probe])
+
+    def test_far_corner_vertex_is_outside(self):
+        """The top-right vertex sits on the box's far corner; ray
+        casting leaves it outside, and so must the kernel."""
+        south, north = 40.76036839380743, 40.770462548382305
+        west, east = -74.0, -73.99582346632819
+        poly = Polygon(
+            [
+                LatLon(south, west),
+                LatLon(south, east),
+                LatLon(north, east),
+                LatLon(north, west),
+            ]
+        )
+        assert not poly.contains(LatLon(north, east))
+        codes = PolygonSet([poly]).first_match(
+            np.array([north]), np.array([east])
+        )
+        assert codes.tolist() == [-1]
+
+    def test_empty_polygon_set(self):
+        kernel = PolygonSet([])
+        for n in (0, 1, 5):
+            codes = kernel.first_match(np.full(n, 40.75), np.full(n, -73.98))
+            assert codes.dtype == np.int64
+            assert codes.tolist() == [-1] * n
+
+    def test_far_outside_bbox_is_minus_one(self):
+        poly = Polygon(
+            [
+                LatLon(40.70, -74.00),
+                LatLon(40.70, -73.98),
+                LatLon(40.72, -73.98),
+                LatLon(40.72, -74.00),
+            ]
+        )
+        codes = PolygonSet([poly]).first_match(
+            np.array([41.5, 40.71]), np.array([-74.0, -73.99])
+        )
+        assert codes.tolist() == [-1, 0]
+
+
+REGIONS = {"manhattan": midtown_manhattan(), "sf": downtown_sf()}
+
+
+@st.composite
+def surge_area_batches(draw):
+    """A city, and a batch of 0, 1 or many points over its box ±0.01°
+    mixing random points with edge probes."""
+    city = draw(st.sampled_from(sorted(REGIONS)))
+    region = REGIONS[city]
+    box = region.bounding_box
+    random_points = st.builds(
+        LatLon,
+        st.floats(box.south - 0.01, box.north + 0.01, allow_nan=False),
+        st.floats(box.west - 0.01, box.east + 0.01, allow_nan=False),
+    )
+    probes = st.sampled_from(
+        edge_probes([a.polygon for a in region.surge_areas])
+    )
+    size = draw(st.sampled_from([0, 1, 60]))
+    points = draw(
+        st.lists(st.one_of(random_points, probes), min_size=size,
+                 max_size=size)
+    )
+    return city, points
+
+
+class TestPolygonSetOnSurgeAreas:
+    @pytest.mark.parametrize("city", sorted(REGIONS))
+    def test_every_edge_probe(self, city):
+        polys = [a.polygon for a in REGIONS[city].surge_areas]
+        assert_matches_brute(polys, edge_probes(polys))
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=surge_area_batches())
+    def test_matches_brute_scan(self, batch):
+        city, points = batch
+        polys = [a.polygon for a in REGIONS[city].surge_areas]
+        assert_matches_brute(polys, points)

@@ -180,8 +180,8 @@ def test_golden_campaign_digest_unchanged():
 )
 def test_golden_digest_on_both_engines(vectorized):
     """Both engines reproduce the golden digest: the production path
-    (arrays, area index, batched serving) and the oracle (Driver
-    objects, brute scans, per-client pings).  The oracle pins that the
+    (arrays, batched idle-car census, batched serving) and the oracle
+    (Driver objects, brute scans, per-client pings).  The oracle pins that the
     readable reference is itself the golden behaviour, so the
     production path is held to it bit for bit."""
     golden = json.loads(GOLDEN_PATH.read_text())

@@ -185,20 +185,3 @@ class TestReplayServer:
     def test_seek_backwards_rejected(self, server):
         with pytest.raises(ValueError):
             server.seek(0.0)
-
-    def test_spatial_index_flag_is_behaviour_free(self):
-        """Index on vs off must serve identical replies at every step."""
-        gen = TaxiTraceGenerator(
-            TaxiGeneratorParams(fleet_size=60, days=0.3), seed=4
-        )
-        trips = gen.generate()
-        indexed = TaxiReplayServer(trips, seed=4, use_spatial_index=True)
-        brute = TaxiReplayServer(trips, seed=4, use_spatial_index=False)
-        indexed.seek(8 * 3600.0)
-        brute.seek(8 * 3600.0)
-        queries = [P1, P2, P1.offset(400.0, -250.0)]
-        for _ in range(40):
-            indexed.advance(120.0)
-            brute.advance(120.0)
-            for q in queries:
-                assert indexed.ping("a", q) == brute.ping("a", q)
