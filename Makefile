@@ -8,7 +8,8 @@ PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint lint-concurrency typecheck test perfbench-selftest \
-	fig04-check bench-quick serve-bench bench-cluster coverage check
+	perfbench-digests fig04-check bench-quick serve-bench bench-cluster \
+	coverage check
 
 ## Both lint passes (determinism REP001-REP006 + concurrency
 ## REP101-REP105) over the source tree.
@@ -42,6 +43,15 @@ test:
 ## calls into src by name, so a rename or deletion there fails here.
 perfbench-selftest:
 	$(PY) perfbench/run.py --self-test
+
+## Output bytes at scale: the repo benchmark's two campaign workloads,
+## Manhattan x20 (6 540 drivers) and x153 (50 031), at the seed
+## perfbench/expected.json records, for the minimum three repetitions
+## each.  Fails unless every repetition's log, audit report and truth
+## digests equal the record.
+perfbench-digests:
+	$(PY) perfbench/run.py --workload campaign-x20 --seed 2015 --seconds 1
+	$(PY) perfbench/run.py --workload metro-x153 --seed 2015 --seconds 1
 
 ## Fig 4's taxi validation end to end (trace generator, replayer,
 ## measurement fleet, capture-rate scoring), with its table pinned: the

@@ -15,8 +15,9 @@ only ever change speed, never behaviour:
   reference the tests hold production to.
 
 A third leg, ``production_perclient``, runs the production engine but
-answers each round with one ``PingEndpoint.ping`` per request — the
-work ``serve_round`` batches away.
+answers each round with one ``PingEndpoint.ping`` per request, which
+production serves as a round of one: the work ``serve_round`` batches
+away.
 
 A separate sweep leg times the process-pool campaign orchestrator
 (:func:`repro.parallel.orchestrator.run_sweep`): four independent

@@ -85,14 +85,25 @@ class PingEndpoint(PingServer):
         location: LatLon,
         car_types: Optional[Sequence[CarType]] = None,
     ) -> PingReply:
+        """Answer one ping: on production, as a round of one.  The
+        per-client body below runs on the oracle; it is the definition
+        the production-vs-oracle suites hold :meth:`serve_round` to."""
         engine = self.engine
+        if engine.use_vectorized_step:
+            return self.serve_round([(account_id, location, car_types)])[0]
         if car_types is None:
             car_types = list(engine.config.fleet)
         statuses = []
         for car_type in car_types:
-            # One spatial query serves both the car list and the EWT.
-            nearest, ewt = engine.nearest_cars_with_ewt(
+            nearest = engine.nearest_cars(
                 location, car_type, k=self.nearest_k
+            )
+            # The head of the list is the nearest idle car, so one
+            # scan serves both the car list and the EWT.
+            ewt = (
+                engine.dispatcher.ewt_for(nearest[0], location).minutes
+                if nearest
+                else None
             )
             # A driver without a session token has no public identity
             # and must never be served: emitting "" would collapse every
@@ -133,10 +144,10 @@ class PingEndpoint(PingServer):
         first-match polygon scan :meth:`ping` uses
         (:meth:`MarketplaceEngine.area_id_of`).  Serial, on the calling
         thread.
-        Reply-for-reply bit-identical to the per-client path (the
-        production-against-oracle tests enforce it); falls back to it
-        when the engine declines the batch query (the oracle engine,
-        ``use_vectorized_step=False``).
+        Reply-for-reply bit-identical to the oracle's per-client
+        :meth:`ping` (the production-against-oracle tests enforce it);
+        falls back to it when the engine declines the batch query (the
+        oracle engine, ``use_vectorized_step=False``).
         """
         engine = self.engine
         if not requests:

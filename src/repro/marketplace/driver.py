@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from repro.geo.latlon import LatLon, interpolate
@@ -83,11 +83,9 @@ class Driver:
     #: driver's own rate multiplier.  Ignored under algorithmic surge.
     personal_rate: float = 1.0
     #: The path vector of a detached driver (the oracle engine and unit
-    #: tests).  An attached driver's path lives in its FleetArray ring,
-    #: which the path accessors read instead; they never read this deque.
-    path: Deque[Tuple[float, LatLon]] = field(
-        default_factory=lambda: deque(maxlen=PATH_VECTOR_LEN)
-    )
+    #: tests), started when it comes online.  An attached driver's path
+    #: is its FleetArray ring: it never gets a deque.
+    path: Optional[Deque[Tuple[float, LatLon]]] = None
 
     # ------------------------------------------------------------------
     # Session management
@@ -102,8 +100,7 @@ class Driver:
         self.online_since = now
         self.planned_offline_at = now + session_seconds
         self.session_token = self._new_token(rng)
-        self.path.clear()
-        self.path.append((now, self.location))
+        self._restart_path(now)
 
     def _new_token(self, rng: random.Random) -> str:
         """A fresh public identity: random-looking yet reproducible."""
@@ -123,8 +120,13 @@ class Driver:
         if self.state is not DriverState.IDLE:
             raise RuntimeError("come_back_idle requires the IDLE state")
         self.session_token = self._new_token(rng)
-        self.path.clear()
-        self.path.append((now, self.location))
+        self._restart_path(now)
+
+    def _restart_path(self, now: float) -> None:
+        """A fresh path vector at the current position.  An attached
+        driver's ring is reset by its FleetArray instead."""
+        if self._fleet is None:
+            self.path = deque([(now, self.location)], maxlen=PATH_VECTOR_LEN)
 
     def go_offline(self) -> None:
         if self.state is DriverState.OFFLINE:
@@ -135,7 +137,8 @@ class Driver:
         self.planned_offline_at = None
         self.trip = None
         self.cruise_target = None
-        self.path.clear()
+        if self.path is not None:
+            self.path.clear()
 
     @property
     def is_online(self) -> bool:
@@ -191,14 +194,21 @@ class Driver:
             assert self.trip is not None
             arrived = self._drive_toward(self.trip.dropoff, dt)
             if arrived:
-                completed = self.trip
-                self.trip = None
-                self.state = DriverState.IDLE
-                self.trips_completed += 1
+                completed = self.finish_trip()
         elif self.state is DriverState.IDLE:
             self._cruise(dt, rng)
+        assert self.path is not None
         self.path.append((now, self.location))
         return completed
+
+    def finish_trip(self) -> Trip:
+        """Drop the passenger off; returns the trip for fare accounting."""
+        trip = self.trip
+        assert trip is not None
+        self.trip = None
+        self.state = DriverState.IDLE
+        self.trips_completed += 1
+        return trip
 
     def _drive_toward(self, target: LatLon, dt: float) -> bool:
         """Move straight toward *target*; True when it is reached."""
@@ -228,13 +238,9 @@ class Driver:
 
     def path_vector(self) -> Tuple[Tuple[float, LatLon], ...]:
         """Recent movement trace as exposed through `pingClient`."""
-        fleet = self._fleet
-        if fleet is not None:
-            return tuple(
-                (t, LatLon(lat, lon))
-                for t, lat, lon in fleet.ring_triples([self._row])[0]
-            )
-        return tuple(self.path)
+        return tuple(
+            (t, LatLon(lat, lon)) for t, lat, lon in self.path_triples()
+        )
 
     def path_triples(self) -> Tuple[Tuple[float, float, float], ...]:
         """The path as flat ``(t, lat, lon)`` triples.
@@ -244,8 +250,8 @@ class Driver:
         """
         fleet = self._fleet
         if fleet is not None:
-            return fleet.ring_triples([self._row])[0]
-        return tuple((t, p.lat, p.lon) for t, p in self.path)
+            return fleet.ring_triples([self.driver_id - 1])[0]
+        return tuple((t, p.lat, p.lon) for t, p in self.path or ())
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +262,11 @@ class Driver:
 # Attaching a driver to it makes `location` a data descriptor that reads
 # the driver's row on every access and writes assignments into it, and
 # the path accessors above read the row's ring; nothing is cached on the
-# object, so there is nothing to sync.  Detached drivers (`_fleet is
-# None` -- the oracle's step path and standalone unit tests) keep their
-# location in the instance and pay one attribute indirection.
+# object, so there is nothing to sync.  The row is `driver_id - 1`
+# (FleetArray enforces contiguous ids), so the object stores no index.
+# Detached drivers (`_fleet is None` -- the oracle's step path and
+# standalone unit tests) keep their location in the instance and pay one
+# attribute indirection.
 #
 # The property is assigned *after* the dataclass decorator has run so the
 # generated __init__/__repr__ treat `location` as the ordinary field they
@@ -266,21 +274,19 @@ class Driver:
 
 #: FleetArray the driver is attached to, or None (detached).
 Driver._fleet = None
-#: Row of this driver in the attached FleetArray's arrays.
-Driver._row = -1
 
 
 def _location_get(self: Driver) -> LatLon:
     fleet = self._fleet
     if fleet is not None:
-        return fleet.location_of(self._row)
+        return fleet.location_of(self.driver_id - 1)
     return self.__dict__["_loc"]
 
 
 def _location_set(self: Driver, value: LatLon) -> None:
     fleet = self._fleet
     if fleet is not None:
-        fleet.set_location(self._row, value)
+        fleet.set_location(self.driver_id - 1, value)
     else:
         self.__dict__["_loc"] = value
 

@@ -215,7 +215,9 @@ class MarketplaceEngine:
     # ------------------------------------------------------------------
     # Supply management
     # ------------------------------------------------------------------
-    def _target_online(self, car_type: CarType) -> float:
+    def _supply_factors(self) -> Tuple[float, float]:
+        """The diurnal online fraction and the surge boost (§5.5) that
+        scale every type's fleet size to its online target."""
         frac = self.config.online_fraction.level(
             self.clock.hour_of_day, self.clock.is_weekend
         )
@@ -229,35 +231,42 @@ class MarketplaceEngine:
             else 0.0
         )
         boost = 1.0 + self.config.driver.surge_supply_incentive * mean_excess
+        return frac, boost
+
+    def _target_online(self, car_type: CarType) -> float:
+        frac, boost = self._supply_factors()
         return self.config.fleet[car_type] * frac * boost
 
     def _seed_initial_supply(self) -> None:
-        for car_type in self.config.fleet:
-            target = int(round(self._target_online(car_type)))
-            for _ in range(target):
+        frac, boost = self._supply_factors()
+        for car_type, size in self.config.fleet.items():
+            for _ in range(int(round(size * frac * boost))):
                 self._bring_one_online(car_type)
 
-    def _bring_one_online(self, car_type: CarType) -> Optional[Driver]:
+    def _bring_one_online(self, car_type: CarType) -> None:
         pool = self._offline_by_type[car_type]
-        if not pool:
-            return None
-        driver = pool.pop(self.rng.randrange(len(pool)))
-        driver.location = self.demand.sample_point(self.rng)
+        if pool:
+            driver = pool.pop(self.rng.randrange(len(pool)))
+            driver.location = self.demand.sample_point(self.rng)
+            self._start_session(driver)
+
+    def _start_session(self, driver: Driver) -> None:
+        """Put an offline *driver* online where it stands, for a random
+        session length, at the end of its type's online list."""
         session = self.rng.expovariate(
             1.0 / self.config.driver.mean_session_s
         )
-        driver.come_online(self.clock.now, max(300.0, session), self.rng)
-        self._online_by_type[car_type].append(driver)
+        now = self.clock.now
+        driver.come_online(now, max(300.0, session), self.rng)
+        self._online_by_type[driver.car_type].append(driver)
         if self._vec is not None:
-            self._vec.on_online(driver, self.clock.now)
-        return driver
+            self._vec.on_online(driver, now)
 
     def _manage_supply(self, dt: float) -> None:
         tau = self.config.driver.supply_tau_s
-        for car_type in self.config.fleet:
-            online = self._online_by_type[car_type]
-            target = self._target_online(car_type)
-            deficit = target - len(online)
+        frac, boost = self._supply_factors()
+        for car_type, size in self.config.fleet.items():
+            deficit = size * frac * boost - self.online_count(car_type)
             if deficit > 0:
                 arrivals = _poisson(dt * deficit / tau, self.rng)
                 for _ in range(arrivals):
@@ -267,10 +276,12 @@ class MarketplaceEngine:
                 # hazard, keeping the pool tracking the diurnal curve down
                 # as well as up.
                 departures = _poisson(dt * (-deficit) / tau, self.rng)
-                idle = [d for d in online if d.is_dispatchable]
-                for _ in range(min(departures, len(idle))):
-                    driver = idle.pop(self.rng.randrange(len(idle)))
-                    self._take_offline(driver)
+                if departures:
+                    idle = self.idle_drivers(car_type)
+                    for _ in range(min(departures, len(idle))):
+                        self._take_offline(
+                            idle.pop(self.rng.randrange(len(idle)))
+                        )
 
     def _take_offline(self, driver: Driver) -> None:
         # The driver keeps its final position across the offline gap
@@ -317,18 +328,10 @@ class MarketplaceEngine:
         """Bring specific withheld drivers back online; returns how many."""
         wanted = set(driver_ids)
         restored = 0
-        for car_type, pool in self._offline_by_type.items():
+        for pool in self._offline_by_type.values():
             for driver in [d for d in pool if d.driver_id in wanted]:
                 pool.remove(driver)
-                session = self.rng.expovariate(
-                    1.0 / self.config.driver.mean_session_s
-                )
-                driver.come_online(
-                    self.clock.now, max(300.0, session), self.rng
-                )
-                self._online_by_type[car_type].append(driver)
-                if self._vec is not None:
-                    self._vec.on_online(driver, self.clock.now)
+                self._start_session(driver)
                 restored += 1
         return restored
 
@@ -368,6 +371,12 @@ class MarketplaceEngine:
     # Car/EWT views (consumed by the API layer)
     # ------------------------------------------------------------------
     def idle_drivers(self, car_type: CarType) -> List[Driver]:
+        """The dispatchable drivers of *car_type*, in online-list order."""
+        vec = self._vec
+        if vec is not None:
+            drivers = self.drivers
+            rows = vec.in_online_order(vec.idle_rows(car_type))
+            return [drivers[r] for r in rows.tolist()]
         return [
             d for d in self._online_by_type.get(car_type, ())
             if d.is_dispatchable
@@ -404,29 +413,6 @@ class MarketplaceEngine:
         )
         return None if est is None else est.minutes
 
-    def nearest_cars_with_ewt(
-        self, location: LatLon, car_type: CarType, k: int = 8
-    ) -> Tuple[List[Driver], Optional[float]]:
-        """Nearest cars plus the EWT, from a single spatial query.
-
-        The head of the nearest list *is* the nearest idle driver, so
-        the EWT can be derived from it directly — one query serves both
-        halves of a `pingClient` reply instead of two.  Results are
-        identical to calling :meth:`nearest_cars` and
-        :meth:`estimate_wait_minutes` separately.
-        """
-        if self._vec is not None:
-            res = self._vec.nearest_rows(location, car_type, k)
-            if not res:
-                return [], None
-            drivers = self.drivers
-            cars = [drivers[row] for _, row in res]
-            return cars, self.ewt_from_nearest(res[0])
-        cars = self.nearest_cars(location, car_type, k=k)
-        if not cars:
-            return cars, None
-        return cars, self.dispatcher.ewt_for(cars[0], location).minutes
-
     def ewt_from_nearest(self, nearest: Tuple[float, int]) -> float:
         """EWT from an already-computed ``(distance_m, row)`` nearest
         pair — the same arithmetic as ``Dispatcher.ewt_for`` without
@@ -455,8 +441,8 @@ class MarketplaceEngine:
         locations, or ``None`` on the oracle.
 
         The oracle has no FleetArray, so callers fall back to
-        per-client :meth:`nearest_cars_with_ewt`, which produces
-        bit-identical results (see ``FleetArray.round_nearest``).
+        per-client nearest-car scans, which produce bit-identical
+        results (see ``FleetArray.round_nearest``).
         *car_types* limits the batch to the types the round will serve.
         """
         if self._vec is None:
@@ -643,18 +629,21 @@ class MarketplaceEngine:
 
         Phase 1 (:meth:`FleetArray.begin_step`) advances every
         target-driven mover with batched array ops — no RNG there.  The
-        loop below then visits, *in exactly the scalar iteration order*
-        (online lists per car type, snapshot copies), only the drivers
-        whose scalar step would consume RNG or trigger an event: idle
-        wobblers (2 gauss draws), trip completions (re-identification
-        token), cruise-target arrivals and post-event decision draws,
-        and session expiries.  Wobble offsets whose position nothing
-        reads this tick are deferred and batch-applied in
-        :meth:`FleetArray.finish_step`; offsets a relocation decision
-        (or sign-off) is about to read are applied inline with `math`
-        arithmetic that matches the batched numpy path bit-for-bit.
+        loop below then visits only the rows whose scalar step would
+        consume RNG or trigger an event: idle wobblers (2 gauss draws),
+        trip completions (re-identification token), cruise-target
+        arrivals and post-event decision draws, and session expiries.
+        One sort per tick (:meth:`FleetArray.in_online_order`) puts
+        them *in exactly the oracle's order* (online lists per car
+        type); only their ``Driver`` objects are touched.  Wobble
+        offsets whose position nothing reads this tick are deferred and
+        batch-applied in :meth:`FleetArray.finish_step`; offsets a
+        relocation decision (or sign-off) is about to read are applied
+        inline with `math` arithmetic that matches the batched numpy
+        path bit-for-bit.
         """
         vec = self._vec
+        assert vec is not None
         rng = self.rng
         decision_p = dt / self.config.driver.cruise_decision_s
         masks = vec.begin_step(now, dt)
@@ -669,57 +658,51 @@ class MarketplaceEngine:
         wobbled_rows: List[int] = []
         gauss = rng.gauss
         random_ = rng.random
-        for online in self._online_by_type.values():
-            for d in list(online):
-                r = d._row
-                if not needs[r]:
-                    continue
-                if completed[r]:
-                    trip = d.trip
-                    d.trip = None
-                    d.state = DriverState.IDLE
-                    d.trips_completed += 1
-                    self._account_trip(d, trip, now)
-                    if leave[r]:
-                        self._take_offline(d)
-                        continue
-                    # Reappear as a brand-new public car identity.
-                    d.come_back_idle(now, rng)
-                    vec.on_back_idle(d, now)
-                    if random_() < decision_p:
-                        self._choose_cruise_target(d)
-                        vec.set_target_from(d)
-                elif wobble[r]:
-                    north = gauss(0.0, 5.0)
-                    east = gauss(0.0, 5.0)
-                    if leave[r]:
-                        vec.apply_offset(r, north, east)
-                        self._take_offline(d)
-                        continue
-                    wobbled_rows.append(r)
-                    if random_() < decision_p:
-                        # The relocation policy reads the post-wobble
-                        # position, so this offset cannot be deferred.
-                        vec.apply_offset(r, north, east)
-                        self._choose_cruise_target(d)
-                        vec.set_target_from(d)
-                    else:
-                        defer_rows.append(r)
-                        defer_north.append(north)
-                        defer_east.append(east)
-                elif cruise_arrived[r]:
-                    if leave[r]:
-                        self._take_offline(d)
-                        continue
-                    d.cruise_target = None
-                    if random_() < decision_p:
-                        self._choose_cruise_target(d)
-                        vec.set_target_from(d)
-                else:
-                    # An idle cruiser (target not yet reached) whose
-                    # session expired: the scalar path signs it off
-                    # right after its move.
+        drivers = self.drivers
+        for r in vec.in_online_order(np.flatnonzero(needs)).tolist():
+            d = drivers[r]
+            if completed[r]:
+                self._account_trip(d, d.finish_trip(), now)
+                if leave[r]:
                     self._take_offline(d)
+                    continue
+                # Reappear as a brand-new public car identity.
+                d.come_back_idle(now, rng)
+                vec.on_back_idle(d, now)
+                if random_() < decision_p:
+                    self._choose_cruise_target(d)
+                    vec.set_target_from(d)
+            elif wobble[r]:
+                north = gauss(0.0, 5.0)
+                east = gauss(0.0, 5.0)
+                if leave[r]:
+                    vec.apply_offset(r, north, east)
+                    self._take_offline(d)
+                    continue
+                wobbled_rows.append(r)
+                if random_() < decision_p:
+                    # The relocation policy reads the post-wobble
+                    # position, so this offset cannot be deferred.
+                    vec.apply_offset(r, north, east)
+                    self._choose_cruise_target(d)
+                    vec.set_target_from(d)
+                else:
+                    defer_rows.append(r)
+                    defer_north.append(north)
+                    defer_east.append(east)
+            elif cruise_arrived[r]:
+                if leave[r]:
+                    self._take_offline(d)
+                    continue
+                d.cruise_target = None
+                if random_() < decision_p:
+                    self._choose_cruise_target(d)
+                    vec.set_target_from(d)
+            else:
+                # An idle cruiser (target not yet reached) whose
+                # session expired: the scalar path signs it off right
+                # after its move.
+                self._take_offline(d)
         vec.finish_step(now, defer_rows, defer_north, defer_east, wobbled_rows)
 
     def _post_step(self, now: float, dt: float) -> None:

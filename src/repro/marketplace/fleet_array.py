@@ -1,71 +1,64 @@
-"""Structure-of-arrays fleet state for vectorized driver stepping.
+"""Structure-of-arrays fleet state: the production engine's only copy.
 
-The scalar engine advances every online driver as an individual Python
-object each 5-second tick — after PR 1's spatial index removed the query
-bottleneck, that per-object stepping became the dominant cost of a
-campaign (≈86 % of tick time on the ``bench_perf_engine`` Manhattan ×20
-scenario).  This module keeps the whole fleet's mutable hot state in
-flat numpy arrays (positions, state enums, navigation targets,
-path-vector ring buffers, session deadlines) so the engine can
-advance *all* target-driven movers — drivers en route to a pickup, on a
-trip, or cruising toward a relocation target — with a handful of
-vectorized array operations per tick.
+The production engine keeps every car's mutable movement state in flat
+numpy arrays (positions, state codes, navigation targets, path-vector
+rings, session deadlines) and advances *all* target-driven movers —
+drivers en route to a pickup, on a trip, or cruising toward a
+relocation target — with a handful of array operations per tick.
 
-**Bit-identity contract.**  ``use_vectorized_step`` must only ever change
-speed, never behaviour: same-seed ``IntervalTruth`` logs, trip ledgers,
-and ping replies are bit-identical to the scalar oracle (enforced by
-``tests/test_fleet_array.py`` and the tier-1 production-vs-oracle
-checks).  Two
-design rules make that possible:
+**Rows.**  A driver's row is ``driver_id - 1`` (the constructor
+enforces contiguous ids from 1), so rows never move, per-type row sets
+are static, and a ``Driver`` stores no index.  ``online_seq`` stamps a
+row from one counter each time it comes online.  The engine's online
+lists append arrivals and remove departures in place, so a type's
+online rows sorted by ``online_seq`` are its list, in order
+(:meth:`FleetArray.in_online_order`): the engine's ordered loops visit
+rows in that order without walking the lists.
+
+**Bit-identity contract.**  ``use_vectorized_step`` must only ever
+change speed, never behaviour: same-seed ``IntervalTruth`` logs, trip
+ledgers, ping replies and RNG state are bit-identical to the scalar
+oracle (tier-1 enforced).  Two design rules make that possible:
 
 * Every float the arrays produce is computed with the exact operation
   sequence the scalar code uses, restricted to primitives numpy
   reproduces bit-for-bit (``+ - * /``, ``sqrt``, ``sin``/``cos``,
-  ``radians``/``degrees`` — verified on this toolchain; notably *not*
-  ``hypot`` or ``log``, which is why ``equirectangular_m`` is written in
-  ``sqrt(x*x + y*y)`` form).
+  ``radians``/``degrees``; *not* ``hypot`` or ``log``, which is why
+  ``equirectangular_m`` is written in ``sqrt(x*x + y*y)`` form).
 * The shared ``random.Random`` stream is only ever consumed from an
-  ordered per-driver loop in the engine, in exactly the scalar
-  iteration order (online lists, per car type).  The vectorized phase
-  handles the RNG-free majority (movement); the loop handles the small
-  minority that draws — idle wobbles, cruise decisions, sign-offs, and
-  post-trip re-identification — and defers position writes back into the
-  arrays.
+  ordered per-row loop in the engine, in exactly the oracle's iteration
+  order (online lists, per car type).  The vectorized phase handles the
+  RNG-free majority (movement); the loop handles the minority that
+  draws — idle wobbles, cruise decisions, sign-offs, and post-trip
+  re-identification — and defers position writes back into the arrays.
 
-**Read-through objects.**  The arrays are the only copy of everything
-movement touches: position, path ring, navigation targets, and the
-movement-side state code.  Driver objects keep what is evented (tokens,
-trips, earnings, session bookkeeping, cruise target, personal rate),
-and the one state change movement causes, the batched
-EN_ROUTE→ON_TRIP promotion, is written to the objects of the pickup
-rows in :meth:`FleetArray.begin_step` as it happens.  An attached
-``Driver`` reads through: ``location`` builds a ``LatLon`` from its row
-(:meth:`FleetArray.location_of`) and writes assignments into it
-(:meth:`FleetArray.set_location`), and ``path_vector()`` /
-``path_triples()`` read its ring (:meth:`FleetArray.ring_triples`).
-Nothing is cached on the object, so nothing needs a sync step.  The
-batched serving round gathers positions and path triples for all its
-served rows in :meth:`FleetArray.round_nearest`.
+**Read-through objects.**  The arrays are the only copy of position,
+path ring, navigation target and the movement-side state code.
+``Driver`` objects keep what is evented (tokens, trips, earnings,
+session bookkeeping, cruise target, personal rate); the one state
+change movement causes, EN_ROUTE→ON_TRIP, is written to the pickup
+rows' objects in :meth:`FleetArray.begin_step`.  An attached ``Driver``
+reads through: ``location`` reads and writes its row, and its path
+accessors read its ring (:meth:`FleetArray.ring_triples`); it has no
+``path`` deque.  Nothing is cached on the object, so nothing needs a
+sync step.
 
-**State only.**  The arrays hold state and nothing derived from it: no
-copy of positions, idle rows or distances is kept between queries, so
-there is nothing to invalidate when a row moves or changes state.
-Every query reads the arrays as they are.  One kernel,
-:meth:`FleetArray.nearest`, answers every nearest-car question —
-dispatch, `pingClient` replies and their EWTs, and the surge engine's
-EWT probes at the area centroids — by masking the type's idle rows out
-of ``state`` and evaluating one location × row distance matrix.
-
-``LatLon`` range validation runs when a position is built (on read),
-not at each step, so a pathological config that wobbles a driver past
-the poles raises on first read instead of mid-step.  City-scale regions
-cannot get near that.
+**State only.**  Nothing derived from state (positions, idle rows,
+distances) is kept between queries, so nothing needs invalidating when
+a row moves.  One kernel, :meth:`FleetArray.nearest`, answers every
+nearest-car question — dispatch, `pingClient` replies and their EWTs,
+and the surge engine's EWT probes at the area centroids — by masking
+the type's idle rows out of ``state`` and evaluating one location × row
+distance matrix.  ``LatLon`` range validation runs when a position is
+read, not at each step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -95,35 +88,22 @@ _STATE_CODE = {
     DriverState.ON_TRIP: ON_TRIP,
 }
 
-class StepMasks:
-    """Boolean row masks produced by :meth:`FleetArray.begin_step`.
+class StepMasks(NamedTuple):
+    """Boolean row masks produced by :meth:`FleetArray.begin_step`."""
 
-    ``wobble``          idle drivers with no cruise target (they draw
-                        2 gauss GPS-wobble offsets in the ordered loop);
-    ``cruise_arrived``  idle drivers whose cruise target was reached
-                        this tick (target cleared, decision draw due);
-    ``completed``       drivers whose trip reached its dropoff (state
-                        already IDLE in the arrays; the engine finalizes
-                        the object, accounts the fare, and re-identifies
-                        or signs the driver off);
-    ``idle_like``       every row that is IDLE after the move phase and
-                        subject to the scalar path's session-expiry
-                        check (wobblers plus all cruise movers).
-    """
-
-    __slots__ = ("wobble", "cruise_arrived", "completed", "idle_like")
-
-    def __init__(
-        self,
-        wobble: np.ndarray,
-        cruise_arrived: np.ndarray,
-        completed: np.ndarray,
-        idle_like: np.ndarray,
-    ) -> None:
-        self.wobble = wobble
-        self.cruise_arrived = cruise_arrived
-        self.completed = completed
-        self.idle_like = idle_like
+    #: Idle drivers with no cruise target (they draw 2 gauss GPS-wobble
+    #: offsets in the ordered loop).
+    wobble: np.ndarray
+    #: Idle drivers whose cruise target was reached this tick (target
+    #: cleared, decision draw due).
+    cruise_arrived: np.ndarray
+    #: Drivers whose trip reached its dropoff (state already IDLE in the
+    #: arrays; the engine finalizes the object, accounts the fare, and
+    #: re-identifies or signs the driver off).
+    completed: np.ndarray
+    #: Every row that is IDLE after the move phase and subject to the
+    #: oracle's session-expiry check (wobblers plus all cruise movers).
+    idle_like: np.ndarray
 
 
 class RoundNearest:
@@ -200,6 +180,10 @@ class FleetArray:
         self.path_lat = np.zeros((n, PATH_VECTOR_LEN), dtype=np.float64)
         self.path_lon = np.zeros((n, PATH_VECTOR_LEN), dtype=np.float64)
         self.path_cnt = np.zeros(n, dtype=np.int64)
+        #: When each row last came online, from one counter: the
+        #: engine's online lists hold their rows in this order.
+        self.online_seq = np.zeros(n, dtype=np.int64)
+        self._next_seq = 0
 
         # Static per-type row sets (fleet composition never changes).
         self.type_code: Dict[CarType, int] = {}
@@ -227,7 +211,6 @@ class FleetArray:
             # From here on the row is the driver's only position.
             d.__dict__.pop("_loc", None)
             d._fleet = self
-            d._row = i
 
     # ------------------------------------------------------------------
     # Read-through Driver accessors
@@ -269,17 +252,20 @@ class FleetArray:
     # Evented transitions (engine hooks)
     # ------------------------------------------------------------------
     def on_online(self, d: Driver, now: float) -> None:
-        """Driver just came online (location already pushed via setter)."""
-        r = d._row
+        """Driver just came online (location already pushed via setter)
+        and joined the end of its type's online list."""
+        r = d.driver_id - 1
         self.state[r] = IDLE
         self.has_target[r] = False
         self.planned_off[r] = d.planned_offline_at
+        self.online_seq[r] = self._next_seq
+        self._next_seq += 1
         self._reset_ring(r, now)
 
     def on_offline(self, d: Driver) -> None:
         """Driver just signed off (object already cleared).  The row
         keeps its final position across the offline gap."""
-        r = d._row
+        r = d.driver_id - 1
         self.state[r] = OFFLINE
         self.has_target[r] = False
         self.planned_off[r] = np.inf
@@ -288,7 +274,7 @@ class FleetArray:
     def on_assign(self, d: Driver, trip: Trip) -> None:
         """Driver just accepted a trip: navigate to the pickup.  The
         dropoff is read from the trip at the batched promotion."""
-        r = d._row
+        r = d.driver_id - 1
         self.state[r] = EN_ROUTE
         self.tgt_lat[r] = trip.pickup.lat
         self.tgt_lon[r] = trip.pickup.lon
@@ -296,11 +282,11 @@ class FleetArray:
 
     def on_back_idle(self, d: Driver, now: float) -> None:
         """Driver re-identified after a dropoff: fresh path vector."""
-        self._reset_ring(d._row, now)
+        self._reset_ring(d.driver_id - 1, now)
 
     def set_target_from(self, d: Driver) -> None:
         """Mirror the object's cruise target into the arrays."""
-        r = d._row
+        r = d.driver_id - 1
         target = d.cruise_target
         if target is None:
             self.has_target[r] = False
@@ -447,6 +433,11 @@ class FleetArray:
             return np.empty(0, dtype=np.int64)
         return all_rows[self.state[all_rows] == IDLE]
 
+    def in_online_order(self, rows: np.ndarray) -> np.ndarray:
+        """Online *rows* in the engine's online-list order: by car type
+        (type codes follow the fleet's order), then by ``online_seq``."""
+        return rows[np.lexsort((self.online_seq[rows], self.ctype[rows]))]
+
     def online_mask_rows(self, car_type: CarType) -> np.ndarray:
         """Rows of the currently online drivers of *car_type*."""
         all_rows = self.rows_by_type.get(car_type)
@@ -492,7 +483,7 @@ class FleetArray:
             order = np.argmin(dist, axis=1)[:, None]
         else:
             order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        return np.take_along_axis(dist, order, axis=1), rows[order]
+        return dist[np.arange(lats.size)[:, None], order], rows[order]
 
     def nearest_rows(
         self, location: LatLon, car_type: CarType, k: int

@@ -6,13 +6,25 @@ check the invariants that every analysis silently relies on.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_config
+from repro.marketplace.config import manhattan_config, sf_config
+from repro.marketplace.driver import DriverState
 from repro.marketplace.engine import MarketplaceEngine
+from repro.marketplace.fleet_array import EN_ROUTE, IDLE, OFFLINE, ON_TRIP
+from repro.marketplace.rider import DiurnalProfile
 from repro.marketplace.types import CarType
+
+STATE_CODE = {
+    DriverState.OFFLINE: OFFLINE,
+    DriverState.IDLE: IDLE,
+    DriverState.EN_ROUTE: EN_ROUTE,
+    DriverState.ON_TRIP: ON_TRIP,
+}
 
 
 def build_engine(seed, demand, elasticity):
@@ -97,3 +109,52 @@ class TestEngineInvariants:
                     strays += 1
         assert total > 0
         assert strays / total < 0.1
+
+
+def assert_one_copy_of_fleet_state(engine):
+    """The production engine's FleetArray agrees with its objects and
+    supply lists: each type's online list holds its online rows in
+    ``online_seq`` order, every ``Driver.state`` is its row's state,
+    and no attached driver holds a path deque of its own."""
+    vec = engine._vec
+    for car_type, online in engine._online_by_type.items():
+        rows = vec.online_mask_rows(car_type)
+        in_seq = rows[np.argsort(vec.online_seq[rows])]
+        assert [d.driver_id - 1 for d in online] == in_seq.tolist()
+    assert [STATE_CODE[d.state] for d in engine.drivers] == vec.state.tolist()
+    assert all(d._fleet is vec and d.path is None for d in engine.drivers)
+
+
+#: An online fraction that climbs for 24 minutes after midnight, then
+#: falls below its start within the hour: arrivals, then idle drivers
+#: signing off early because supply is over target.
+RISE_AND_FALL = ((0.0, 0.16), (0.4, 0.30), (0.8, 0.05), (12.0, 0.05))
+
+
+@pytest.mark.parametrize("city", [manhattan_config, sf_config])
+def test_fleet_state_agrees_every_tick(city):
+    """Every tick of an hour from midnight: drivers come online, idle
+    ones sign off early over target, sessions expire and trips
+    complete, and after each tick the production engine's one copy of
+    fleet state is consistent."""
+    profile = DiurnalProfile(weekday=RISE_AND_FALL, weekend=RISE_AND_FALL)
+    engine = MarketplaceEngine(
+        dataclasses.replace(city(), online_fraction=profile), seed=5
+    )
+    vec = engine._vec
+    assert_one_copy_of_fleet_state(engine)
+    arrivals = early_departures = 0
+    for _ in range(720):
+        online_before = vec.state != OFFLINE
+        planned_off = vec.planned_off.copy()
+        engine.tick()
+        online = vec.state != OFFLINE
+        arrivals += int((online & ~online_before).sum())
+        # A session-expiry sign-off happens at or after planned_off; an
+        # idle driver leaving before it left because supply was over
+        # target.
+        early = online_before & ~online & (planned_off > engine.clock.now)
+        early_departures += int(early.sum())
+        assert_one_copy_of_fleet_state(engine)
+    assert arrivals > 0
+    assert early_departures > 0

@@ -163,10 +163,14 @@ def test_rows_mirror_initial_state():
     drivers = _tiny_fleet(4)
     fleet = FleetArray(drivers)
     for i, d in enumerate(drivers):
-        assert d._row == i
         assert d._fleet is fleet
         assert fleet.lat[i] == d.location.lat
         assert fleet.lon[i] == d.location.lon
+    # Each driver reads row driver_id - 1 and no other.
+    for r in range(len(drivers)):
+        fleet.lat[r] = 41.0 + 0.1 * r
+    for d in drivers:
+        assert d.location.lat == 41.0 + 0.1 * (d.driver_id - 1)
     # Per-type row sets partition all rows.
     rows = sorted(
         r for arr in fleet.rows_by_type.values() for r in arr.tolist()
