@@ -42,6 +42,9 @@ Headline speedups reported:
 * ``batched_vs_perclient_ping_rounds`` — batched round serving vs one
   ``ping()`` per request on the same production engine (target:
   >= 1.5x);
+* ``perclient_ping_production_vs_oracle`` — one ``ping()`` per request,
+  production vs the oracle, as the median of interleaved pairs of
+  rounds on same-seed engines (target: >= 1x);
 * ``vector_vs_scalar_engine_ticks`` — production vs oracle stepping,
   engine ticks only (target: >= 2x);
 * ``defaults_vs_seed_campaign`` — production vs oracle, tick + ping
@@ -71,6 +74,7 @@ import dataclasses
 import gc
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -208,6 +212,54 @@ def _timed_campaign(
     }
 
 
+#: Interleaved (production, oracle) pairs behind the per-client ping
+#: ratio.
+PERCLIENT_PAIRS = 11
+
+
+def _perclient_ping_ratio(
+    scale: int, seed: int, max_clients: Optional[int]
+) -> float:
+    """Production's per-client ping rate over the oracle's: the median,
+    over interleaved pairs, of the oracle's time for one per-client
+    round divided by production's.
+
+    A ping does not advance the engine, so same-seed engines answer the
+    same round at the same state pair after pair.  Alternating the two
+    legs, and which goes first, lets a swing in machine speed fall on
+    both sides of a pair rather than on one whole leg.
+    """
+    cfg = scenario_config(scale)
+    clients = list(place_clients(cfg.region, max_clients=max_clients))
+    endpoints = []
+    for vectorized in (True, False):
+        engine = MarketplaceEngine(
+            cfg, seed=seed, use_vectorized_step=vectorized
+        )
+        for _ in range(WARMUP_TICKS):
+            engine.tick()
+        endpoints.append(PingEndpoint(engine))
+
+    def round_s(endpoint: PingEndpoint) -> float:
+        t0 = time.perf_counter()
+        for i, location in enumerate(clients):
+            endpoint.ping(f"bench{i}", location)
+        return time.perf_counter() - t0
+
+    production, oracle = endpoints
+    gc.collect()
+    ratios = []
+    for pair in range(PERCLIENT_PAIRS):
+        if pair % 2:
+            oracle_s = round_s(oracle)
+            production_s = round_s(production)
+        else:
+            production_s = round_s(production)
+            oracle_s = round_s(oracle)
+        ratios.append(oracle_s / production_s)
+    return statistics.median(ratios)
+
+
 def check_equivalence(
     scale: int = 1, ticks: int = 60, seed: int = 11
 ) -> bool:
@@ -315,6 +367,7 @@ def run_bench(
         name: _timed_campaign(leg, scale, ticks, seed, max_clients)
         for name, leg in LEGS.items()
     }
+    perclient_ratio = _perclient_ping_ratio(scale, seed, max_clients)
     equivalent = check_equivalence(
         scale=1, ticks=30 if quick else 60, seed=seed + 8
     )
@@ -332,6 +385,10 @@ def run_bench(
         "batched_vs_perclient_ping_rounds": (
             prod["ping_rounds_per_s"] / perclient["ping_rounds_per_s"]
         ),
+        # One ping() per request, production (each a round of one) vs
+        # the oracle's per-client scan; interleaved median (target:
+        # >= 1x).
+        "perclient_ping_production_vs_oracle": perclient_ratio,
         # Production vs oracle stepping, engine ticks only
         # (target: >= 2x).
         "vector_vs_scalar_engine_ticks": (
@@ -354,6 +411,9 @@ def run_bench(
         },
         "batched_vs_perclient_ping_rounds": {
             "min": 1.5, "enforced": not quick,
+        },
+        "perclient_ping_production_vs_oracle": {
+            "min": 1.0, "enforced": not quick,
         },
         "vector_vs_scalar_engine_ticks": {
             "min": 2.0, "enforced": not quick,
@@ -432,7 +492,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 + ("" if ok else ", BELOW")
                 + ")"
             )
-        lines.append(f"{name:34s} {value:5.2f}x{note}")
+        lines.append(f"{name:36s} {value:5.2f}x{note}")
     sweep = result["sweep"]
     lines.append(
         f"sweep: {sweep['campaigns']} campaigns, jobs={sweep['jobs']}, "

@@ -85,12 +85,19 @@ class PingEndpoint(PingServer):
         location: LatLon,
         car_types: Optional[Sequence[CarType]] = None,
     ) -> PingReply:
-        """Answer one ping: on production, as a round of one.  The
-        per-client body below runs on the oracle; it is the definition
-        the production-vs-oracle suites hold :meth:`serve_round` to."""
+        """Answer one ping as a round of one."""
+        return self.serve_round([(account_id, location, car_types)])[0]
+
+    def _ping_one(
+        self,
+        account_id: str,
+        location: LatLon,
+        car_types: Optional[Sequence[CarType]],
+    ) -> PingReply:
+        """The per-client scan :meth:`serve_round` falls back to when
+        the engine declines the batch query (the oracle).  It is the
+        definition the production-vs-oracle suites hold the batch to."""
         engine = self.engine
-        if engine.use_vectorized_step:
-            return self.serve_round([(account_id, location, car_types)])[0]
         if car_types is None:
             car_types = list(engine.config.fleet)
         statuses = []
@@ -139,15 +146,15 @@ class PingEndpoint(PingServer):
         location (:meth:`MarketplaceEngine.round_query`), one gather of
         the served cars' positions and path triples from the fleet
         arrays, and per-account jitter staleness resolved once per
-        round — instead of N independent :meth:`ping` calls re-deriving
+        round — instead of N independent per-client scans re-deriving
         all of it.  Each request's surge area comes from the same
-        first-match polygon scan :meth:`ping` uses
+        first-match polygon scan the per-client scan uses
         (:meth:`MarketplaceEngine.area_id_of`).  Serial, on the calling
         thread.
-        Reply-for-reply bit-identical to the oracle's per-client
-        :meth:`ping` (the production-against-oracle tests enforce it);
-        falls back to it when the engine declines the batch query (the
-        oracle engine, ``use_vectorized_step=False``).
+        Reply-for-reply bit-identical to the oracle's per-client scan
+        (the production-against-oracle tests enforce it); falls back to
+        it when the engine declines the batch query (the oracle engine,
+        ``use_vectorized_step=False``).
         """
         engine = self.engine
         if not requests:
@@ -184,7 +191,7 @@ class PingEndpoint(PingServer):
         batch = engine.round_query(lats, lons, self.nearest_k, needed)
         if batch is None:
             return [
-                self.ping(account_id, location, car_types)
+                self._ping_one(account_id, location, car_types)
                 for account_id, location, car_types in requests
             ]
         now = engine.clock.now
@@ -195,7 +202,7 @@ class PingEndpoint(PingServer):
         # token on its Driver; the per-(location, type, rank) lookups
         # below are then plain dict hits.  Tokenless drivers get no
         # entry: a driver with no session token has no public identity
-        # and is filtered exactly as in ping().
+        # and is filtered exactly as in _ping_one().
         views: Dict[int, CarView] = {}
         for row, lat, lon, path in zip(
             batch.served_rows,

@@ -215,9 +215,10 @@ class MarketplaceEngine:
     # ------------------------------------------------------------------
     # Supply management
     # ------------------------------------------------------------------
-    def _supply_factors(self) -> Tuple[float, float]:
-        """The diurnal online fraction and the surge boost (§5.5) that
-        scale every type's fleet size to its online target."""
+    def _supply_targets(self) -> Dict[CarType, float]:
+        """Each type's online target: its fleet size scaled by the
+        diurnal online fraction and the surge boost (§5.5), both
+        evaluated once for every type."""
         frac = self.config.online_fraction.level(
             self.clock.hour_of_day, self.clock.is_weekend
         )
@@ -231,16 +232,17 @@ class MarketplaceEngine:
             else 0.0
         )
         boost = 1.0 + self.config.driver.surge_supply_incentive * mean_excess
-        return frac, boost
+        return {
+            car_type: size * frac * boost
+            for car_type, size in self.config.fleet.items()
+        }
 
     def _target_online(self, car_type: CarType) -> float:
-        frac, boost = self._supply_factors()
-        return self.config.fleet[car_type] * frac * boost
+        return self._supply_targets()[car_type]
 
     def _seed_initial_supply(self) -> None:
-        frac, boost = self._supply_factors()
-        for car_type, size in self.config.fleet.items():
-            for _ in range(int(round(size * frac * boost))):
+        for car_type, target in self._supply_targets().items():
+            for _ in range(int(round(target))):
                 self._bring_one_online(car_type)
 
     def _bring_one_online(self, car_type: CarType) -> None:
@@ -264,9 +266,8 @@ class MarketplaceEngine:
 
     def _manage_supply(self, dt: float) -> None:
         tau = self.config.driver.supply_tau_s
-        frac, boost = self._supply_factors()
-        for car_type, size in self.config.fleet.items():
-            deficit = size * frac * boost - self.online_count(car_type)
+        for car_type, target in self._supply_targets().items():
+            deficit = target - self.online_count(car_type)
             if deficit > 0:
                 arrivals = _poisson(dt * deficit / tau, self.rng)
                 for _ in range(arrivals):

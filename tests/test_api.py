@@ -33,6 +33,28 @@ def warm_engine():
 
 
 @pytest.fixture(scope="module")
+def oracle_twin(warm_engine):
+    """``warm_engine``'s same-seed oracle, warmed the same way.  Its
+    per-client pings are the definition production rounds are held to:
+    on production, ``ping()`` is itself a round of one."""
+    engine = MarketplaceEngine(
+        toy_config(jitter_probability=0.3), seed=21,
+        use_vectorized_step=False,
+    )
+    engine.run(3600.0)
+    assert engine.clock.now == warm_engine.clock.now
+    return engine
+
+
+def _oracle_pings(engine, requests):
+    endpoint = PingEndpoint(engine)
+    return [
+        endpoint.ping(account_id, location, car_types)
+        for account_id, location, car_types in requests
+    ]
+
+
+@pytest.fixture(scope="module")
 def center(warm_engine):
     return warm_engine.config.region.bounding_box.center
 
@@ -293,17 +315,20 @@ class TestServeRound:
             ("acct0", center.offset(90.0, 40.0), None),
         ]
 
-    def test_batched_matches_per_client(self, warm_engine, center):
-        """The batched round path is reply-for-reply identical to N
-        independent pings (same engine, same instant)."""
+    def test_batched_matches_per_client(
+        self, warm_engine, oracle_twin, center
+    ):
+        """The batched round is reply-for-reply identical to N
+        independent per-client pings on the same-seed oracle, and so is
+        each request served alone as a round of one."""
         endpoint = PingEndpoint(warm_engine)
         requests = self._requests(center)
-        batched = endpoint.serve_round(requests)
-        individual = [
+        expected = _oracle_pings(oracle_twin, requests)
+        assert endpoint.serve_round(requests) == expected
+        assert [
             endpoint.ping(account_id, location, car_types)
             for account_id, location, car_types in requests
-        ]
-        assert batched == individual
+        ] == expected
 
     def test_empty_round(self, warm_engine):
         assert PingEndpoint(warm_engine).serve_round([]) == []
@@ -318,9 +343,12 @@ class TestServeRound:
         lats = np.array([center.lat])
         lons = np.array([center.lon])
         assert engine.round_query(lats, lons, 8) is None
-        endpoint = PingEndpoint(engine)
-        replies = endpoint.serve_round([("a", center, None)])
-        assert replies == [endpoint.ping("a", center, None)]
+        replies = PingEndpoint(engine).serve_round([("a", center, None)])
+        production = MarketplaceEngine(toy_config(), seed=11)
+        production.run(600.0)
+        assert replies == PingEndpoint(production).serve_round(
+            [("a", center, None)]
+        )
 
     def _spy_round_query(self, engine, monkeypatch):
         captured = []
@@ -349,14 +377,15 @@ class TestServeRound:
         assert captured[-1] == [CarType.UBERX]
 
     def test_mixed_round_unions_none_as_all_types(
-        self, warm_engine, center, monkeypatch
+        self, warm_engine, oracle_twin, center, monkeypatch
     ):
         # Regression: the union used to be built only when *every*
         # request restricted its types — one `None` in a mixed round
         # silently widened the batch to the whole fleet instead of
         # contributing "all types" to an explicit union.  The observable
         # contract: a mixed round queries exactly the fleet's types and
-        # stays reply-for-reply identical to per-client pings.
+        # stays reply-for-reply identical to the oracle's per-client
+        # pings.
         captured = self._spy_round_query(warm_engine, monkeypatch)
         endpoint = PingEndpoint(warm_engine)
         requests = [
@@ -366,18 +395,15 @@ class TestServeRound:
         ]
         batched = endpoint.serve_round(requests)
         assert set(captured[-1]) == set(warm_engine.config.fleet)
-        assert batched == [
-            endpoint.ping(account_id, location, car_types)
-            for account_id, location, car_types in requests
-        ]
+        assert batched == _oracle_pings(oracle_twin, requests)
 
     def test_round_restricted_to_unfielded_type(
-        self, warm_engine, center, monkeypatch
+        self, warm_engine, oracle_twin, center, monkeypatch
     ):
         # A request may restrict to a type the fleet doesn't field
         # (UBERT here): the union must not mistake "as many types seen
         # as the fleet has" for "the fleet is covered", and the reply
-        # still matches the per-client path (an empty status).
+        # still matches the oracle's per-client ping (an empty status).
         captured = self._spy_round_query(warm_engine, monkeypatch)
         endpoint = PingEndpoint(warm_engine)
         requests = [
@@ -386,10 +412,7 @@ class TestServeRound:
         ]
         batched = endpoint.serve_round(requests)
         assert captured[-1] == [CarType.UBERT, CarType.UBERX]
-        assert batched == [
-            endpoint.ping(account_id, location, car_types)
-            for account_id, location, car_types in requests
-        ]
+        assert batched == _oracle_pings(oracle_twin, requests)
 
 
 class TestRestApi:

@@ -12,7 +12,8 @@ properties the full bench enforces for the engine's one speed knob,
 * production stepping is not slower than the oracle's on engine ticks;
 * batched round serving is not slower than one ``ping()`` per request;
 * one ``ping()`` per request on production, a round of one each, keeps
-  at least 0.75x the oracle's per-client ping rate;
+  at least 0.75x the oracle's per-client ping rate (median of
+  interleaved pairs of rounds);
 * orchestrator sweeps are bit-deterministic: the same specs run
   sequentially and through the process pool yield identical truth
   digests.
@@ -65,12 +66,9 @@ def test_quick_bench_equivalent_and_not_slower():
     # request on the same engine.
     assert speedup["batched_vs_perclient_ping_rounds"] >= 1.0
     # Production answers a lone ping as a round of one; that must not
-    # fall far behind the oracle's per-client scan.
-    legs = result["legs"]
-    assert (
-        legs["production_perclient"]["ping_rounds_per_s"]
-        >= 0.75 * legs["oracle"]["ping_rounds_per_s"]
-    )
+    # fall far behind the oracle's per-client scan.  The ratio is a
+    # median over interleaved pairs, not two separately timed legs.
+    assert speedup["perclient_ping_production_vs_oracle"] >= 0.75
     # The sweep floor only binds where the bench marks it enforced
     # (>= 4 cores, full mode) — quick mode and small CI boxes record the
     # ratio without asserting physics they can't exhibit.  Still
