@@ -10,26 +10,28 @@ Every bench consumes the *observation log* only (plus, where the paper
 used the REST API, a live engine); none touch simulator internals, so a
 cached log is as good as a fresh one.
 
-On a cold cache, :func:`prefetch_campaigns` fills several parameter
-sets at once through the process-pool orchestrator
-(:func:`repro.parallel.orchestrator.run_sweep`) — campaigns are
-seed-deterministic, so the worker-written cache files are
-byte-identical to the ones the in-process path writes.
+A parameter set becomes a :class:`CampaignSpec` (:func:`campaign_spec`)
+and runs through :func:`repro.parallel.orchestrator.execute_campaign`,
+the runner behind ``repro measure``.  On a cold cache,
+:func:`prefetch_campaigns` fills several parameter sets at once through
+the process pool (:func:`repro.parallel.orchestrator.run_sweep`) —
+campaigns are seed-deterministic, so the worker-written cache files are
+byte-identical to the ones :func:`campaign` writes in process.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.marketplace.config import CityConfig
-from repro.marketplace.engine import MarketplaceEngine
-from repro.marketplace.config import manhattan_config, sf_config
 from repro.marketplace.types import CarType
-from repro.measurement.fleet import Fleet, MarketplaceWorld
-from repro.measurement.placement import place_clients
 from repro.measurement.records import CampaignLog
+from repro.parallel.orchestrator import (
+    CampaignSpec,
+    execute_campaign,
+    run_sweep,
+)
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 OUT_DIR = Path(__file__).parent / "out"
@@ -43,14 +45,6 @@ MAIN_PING_INTERVAL_S = 30.0
 JITTER_CAMPAIGN_HOURS = 4.0
 
 _memory_cache: Dict[str, CampaignLog] = {}
-
-
-def city_config(city: str, jitter_probability: float = 0.25) -> CityConfig:
-    if city == "manhattan":
-        return manhattan_config(jitter_probability=jitter_probability)
-    if city == "sf":
-        return sf_config(jitter_probability=jitter_probability)
-    raise ValueError(f"unknown city {city!r}")
 
 
 def campaign_key(
@@ -72,6 +66,30 @@ def campaign_cache_path(key: str) -> Path:
     return CACHE_DIR / f"{key}.jsonl"
 
 
+def campaign_spec(
+    city: str,
+    days: float = MAIN_CAMPAIGN_DAYS,
+    ping_interval_s: float = MAIN_PING_INTERVAL_S,
+    warmup_s: float = 4 * 3600.0,
+    jitter_probability: float = 0.25,
+    seed: int = 2015,
+) -> CampaignSpec:
+    """The spec one parameter set runs as, logging to its cache file."""
+    key = campaign_key(
+        city, days, ping_interval_s, warmup_s, jitter_probability, seed
+    )
+    return CampaignSpec(
+        key=key,
+        city=city,
+        seed=seed,
+        hours=days * 24.0,
+        warmup_hours=warmup_s / 3600.0,
+        ping_interval_s=ping_interval_s,
+        jitter=jitter_probability,
+        out=str(campaign_cache_path(key)),
+    )
+
+
 def prefetch_campaigns(
     param_sets: List[Dict[str, object]],
     jobs: Optional[int] = None,
@@ -81,35 +99,15 @@ def prefetch_campaigns(
     Each parameter dict takes the same keywords as :func:`campaign`.
     Runs the misses through
     :func:`repro.parallel.orchestrator.run_sweep` — worker processes
-    write the same JSON-lines cache files the sequential path would
-    (campaigns are seed-deterministic, so the bytes match), and a
+    write the same JSON-lines cache files :func:`campaign` would, and a
     later :func:`campaign` call is a pure cache hit.  A failed campaign
     raises: benches must not silently run on a partial cache.
     """
-    from repro.parallel.orchestrator import CampaignSpec, run_sweep
-
-    specs: List[CampaignSpec] = []
-    for params in param_sets:
-        key = campaign_key(**params)  # type: ignore[arg-type]
-        path = campaign_cache_path(key)
-        if key in _memory_cache or path.exists():
-            continue
-        days = float(params.get("days", MAIN_CAMPAIGN_DAYS))
-        warmup_s = float(params.get("warmup_s", 4 * 3600.0))
-        specs.append(
-            CampaignSpec(
-                key=key,
-                city=str(params["city"]),
-                seed=int(params.get("seed", 2015)),
-                hours=days * 24.0,
-                warmup_hours=warmup_s / 3600.0,
-                ping_interval_s=float(
-                    params.get("ping_interval_s", MAIN_PING_INTERVAL_S)
-                ),
-                jitter=float(params.get("jitter_probability", 0.25)),
-                out=str(path),
-            )
-        )
+    specs = [
+        spec
+        for spec in (campaign_spec(**params) for params in param_sets)
+        if spec.key not in _memory_cache and not Path(spec.out).exists()
+    ]
     if not specs:
         return 0
     CACHE_DIR.mkdir(exist_ok=True)
@@ -132,34 +130,22 @@ def campaign(
     seed: int = 2015,
 ) -> CampaignLog:
     """The cached measurement campaign for one city."""
-    key = campaign_key(
+    spec = campaign_spec(
         city, days, ping_interval_s, warmup_s, jitter_probability, seed
     )
-    if key in _memory_cache:
-        return _memory_cache[key]
-    CACHE_DIR.mkdir(exist_ok=True)
-    cache_file = campaign_cache_path(key)
-    if cache_file.exists():
-        log = CampaignLog.load(cache_file)
-        _memory_cache[key] = log
-        return log
-    print(f"[bench] generating campaign {key} "
-          f"(cached for later runs)...", file=sys.stderr)
-    config = city_config(city, jitter_probability)
-    engine = MarketplaceEngine(config, seed=seed)
-    fleet = Fleet(
-        place_clients(config.region),
-        car_types=[CarType.UBERX],
-        ping_interval_s=ping_interval_s,
-    )
-    log = fleet.run(
-        MarketplaceWorld(engine),
-        duration_s=days * 86_400.0,
-        city=city,
-        warmup_s=warmup_s,
-    )
-    log.save(cache_file)
-    _memory_cache[key] = log
+    if spec.key in _memory_cache:
+        return _memory_cache[spec.key]
+    if not Path(spec.out).exists():
+        print(f"[bench] generating campaign {spec.key} "
+              f"(cached for later runs)...", file=sys.stderr)
+        CACHE_DIR.mkdir(exist_ok=True)
+        outcome = execute_campaign(spec)
+        if not outcome.ok:
+            raise RuntimeError(
+                f"campaign {spec.key} failed — {outcome.error}"
+            )
+    log = CampaignLog.load(spec.out)
+    _memory_cache[spec.key] = log
     return log
 
 

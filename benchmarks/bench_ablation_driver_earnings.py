@@ -12,7 +12,8 @@ import dataclasses
 
 import pytest
 
-from _shared import city_config, write_table
+from _shared import write_table
+from repro.marketplace.config import city_config
 from repro.marketplace.driver_set import DriverSetPricingEngine
 from repro.marketplace.engine import MarketplaceEngine
 from repro.analysis.earnings import (

@@ -9,7 +9,8 @@ cover the same region.
 
 import pytest
 
-from _shared import city_config, write_table
+from _shared import write_table
+from repro.marketplace.config import city_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.measurement.calibrate import visibility_radius
 from repro.measurement.fleet import MarketplaceWorld

@@ -15,7 +15,8 @@ import statistics
 
 import pytest
 
-from _shared import city_config, write_table
+from _shared import write_table
+from repro.marketplace.config import city_config
 from repro.geo.latlon import LatLon
 from repro.marketplace.driver_set import DriverSetPricingEngine
 from repro.marketplace.engine import MarketplaceEngine

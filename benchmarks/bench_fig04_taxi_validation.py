@@ -4,42 +4,19 @@ The paper replays the 2013 NYC taxi trace behind a pingClient-equivalent
 API, measures it with 172 clients, and captures 97 % of cars and 95 % of
 deaths — the evidence that the Uber numbers can be trusted.  We replay a
 synthetic trace with known truth and report the same two capture rates
-plus the per-interval series.
+plus the per-interval series.  ``repro validate`` runs the same
+experiment, so the timing covers the whole run, measurement included.
 """
 
-import pytest
-
 from _shared import write_table
-from repro.geo.regions import midtown_manhattan
-from repro.measurement.fleet import Fleet, TaxiWorld
-from repro.measurement.placement import place_clients
-from repro.taxi.generator import TaxiGeneratorParams, TaxiTraceGenerator
-from repro.taxi.replay import TaxiReplayServer
-from repro.validation.validate import validate_against_taxis
+from repro.validation.validate import run_taxi_validation
 
 
-@pytest.fixture(scope="module")
-def taxi_run():
-    region = midtown_manhattan()
-    generator = TaxiTraceGenerator(
-        TaxiGeneratorParams(fleet_size=300, days=1.0), seed=2013,
-        region=region,
-    )
-    trips = generator.generate()
-    replay = TaxiReplayServer(trips, seed=2013)
-    fleet = Fleet(place_clients(region, radius_m=100.0),
-                  ping_interval_s=5.0)
-    log = fleet.run(TaxiWorld(replay), duration_s=3 * 3600.0,
-                    city="taxi", warmup_s=9 * 3600.0)
-    return region, replay, log
-
-
-def test_fig04_taxi_validation(taxi_run, benchmark):
-    region, replay, log = taxi_run
+def test_fig04_taxi_validation(benchmark):
     report = benchmark.pedantic(
-        validate_against_taxis,
-        args=(log, replay),
-        kwargs={"boundary": region.boundary},
+        run_taxi_validation,
+        kwargs={"cabs": 300, "hours": 3.0, "ping_interval_s": 5.0,
+                "seed": 2013},
         rounds=1, iterations=1,
     )
     lines = [

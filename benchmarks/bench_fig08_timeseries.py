@@ -9,7 +9,8 @@ check every contrast.
 import statistics
 from collections import defaultdict
 
-from _shared import all_multiplier_samples, city_config, write_table
+from _shared import all_multiplier_samples, write_table
+from repro.marketplace.config import city_config
 from repro.marketplace.types import CarType
 from repro.analysis.supply_demand import estimate_supply_demand
 from repro.analysis.surge_stats import mean_multiplier, surge_fraction

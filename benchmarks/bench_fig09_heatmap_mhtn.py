@@ -6,7 +6,8 @@ complex way (some dense cells are still under-supplied).
 
 import math
 
-from _shared import city_config, write_table
+from _shared import write_table
+from repro.marketplace.config import city_config
 from repro.analysis.heatmap import client_heatmap, render_grid
 
 

@@ -4,7 +4,8 @@ UberX density peaks around the Financial District / Embarcadero corner
 of the region, with a secondary cluster at UCSF (Fig 10a).
 """
 
-from _shared import city_config, write_table
+from _shared import write_table
+from repro.marketplace.config import city_config
 from repro.analysis.heatmap import client_heatmap, render_grid
 
 

@@ -9,7 +9,8 @@ the ground-truth geometry with a pairwise co-assignment score.
 
 import pytest
 
-from _shared import city_config, write_table
+from _shared import write_table
+from repro.marketplace.config import city_config
 from repro.api.ratelimit import RateLimiter
 from repro.api.rest import RestApi
 from repro.geo.grid import grid_cover

@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from _shared import city_config, per_area_clock_series, write_table
+from _shared import per_area_clock_series, write_table
+from repro.marketplace.config import city_config
 from repro.marketplace.types import CarType
 from repro.analysis.correlate import cross_correlation, strongest_shift
 from repro.analysis.timeseries import interval_means

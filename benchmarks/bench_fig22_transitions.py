@@ -11,7 +11,8 @@ import statistics
 
 import pytest
 
-from _shared import city_config, per_area_clock_series, write_table
+from _shared import per_area_clock_series, write_table
+from repro.marketplace.config import city_config
 from repro.analysis.cleaning import build_tracks, filter_short_lived
 from repro.analysis.transitions import (
     STATES,

@@ -8,7 +8,8 @@ client's position once per surge interval across a busy stretch.
 
 import pytest
 
-from _shared import city_config, write_table
+from _shared import write_table
+from repro.marketplace.config import city_config
 from repro.api.ratelimit import RateLimiter
 from repro.api.rest import RestApi
 from repro.marketplace.engine import MarketplaceEngine

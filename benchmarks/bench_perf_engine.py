@@ -43,12 +43,17 @@ Headline speedups reported:
   ``ping()`` per request on the same production engine (target:
   >= 1.5x);
 * ``perclient_ping_production_vs_oracle`` — one ``ping()`` per request,
-  production vs the oracle, as the median of interleaved pairs of
-  rounds on same-seed engines (target: >= 1x);
+  production vs the oracle (target: >= 1x);
 * ``vector_vs_scalar_engine_ticks`` — production vs oracle stepping,
   engine ticks only (target: >= 2x);
 * ``defaults_vs_seed_campaign`` — production vs oracle, tick + ping
   round (target: >= 4x).
+
+The three legs run on same-seed engines in lock-step, one tick of each
+in an order that reverses every tick, so every ratio but the sweep's is
+the median over ticks of one leg's time for tick k over another's: both
+sides of a pair see the same engine state and, over the run, the same
+share of machine-speed swings.
 
 Each target is recorded in the output JSON under ``thresholds`` with an
 ``enforced`` bit (the sweep speedup is only enforced on machines with
@@ -78,12 +83,12 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.api.ping import PingEndpoint
-from repro.marketplace.config import CityConfig, manhattan_config, sf_config
+from repro.marketplace.config import CITY_CONFIGS, CityConfig, city_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.measurement.placement import place_clients
 from repro.parallel.orchestrator import CampaignSpec, run_sweep
@@ -109,16 +114,9 @@ QUICK_TICKS = 10
 WARMUP_TICKS = 5
 
 
-#: City name -> config factory, for the equivalence check.
-CITIES: Dict[str, Callable[[], CityConfig]] = {
-    "manhattan": manhattan_config,
-    "sf": sf_config,
-}
-
-
 def scenario_config(scale: int, city: str = "manhattan") -> CityConfig:
     """*city* with fleet and demand scaled *scale*-fold."""
-    cfg = CITIES[city]()
+    cfg = city_config(city)
     return dataclasses.replace(
         cfg,
         fleet={ct: n * scale for ct, n in cfg.fleet.items()},
@@ -133,14 +131,14 @@ PARALLEL_WORKERS = 4
 #: The timed engine modes: ``production`` is the default engine serving
 #: whole rounds through ``serve_round``; ``production_perclient`` is the
 #: same engine answering one ``ping()`` per request; ``oracle`` is
-#: ``use_vectorized_step=False`` (Driver objects, brute scans, and
-#: per-client pings — the seed behaviour).
+#: ``use_vectorized_step=False`` (Driver objects, brute scans, and one
+#: ``ping()`` per request — the seed behaviour).
 LEGS: Dict[str, Dict[str, bool]] = {
     "production": {"use_vectorized_step": True, "per_client": False},
     "production_perclient": {
         "use_vectorized_step": True, "per_client": True,
     },
-    "oracle": {"use_vectorized_step": False, "per_client": False},
+    "oracle": {"use_vectorized_step": False, "per_client": True},
 }
 
 #: Both settings of the engine's one knob, for the equivalence check:
@@ -151,56 +149,83 @@ ALL_COMBOS: List[Dict[str, bool]] = [
 ]
 
 
-def _timed_campaign(
-    leg: Dict[str, bool],
+def _lockstep_legs(
     scale: int,
     ticks: int,
     seed: int,
     max_clients: Optional[int] = None,
-) -> Dict[str, float]:
-    """Wall-clock the tick and ping phases of a campaign slice."""
+) -> Dict[str, Dict[str, List[float]]]:
+    """Per-tick tick and ping-round times of every leg, in lock-step.
+
+    Each leg drives its own same-seed engine, and tick k runs on every
+    leg before tick k + 1 runs on any, in an order that reverses every
+    tick.  The k-th times of two legs thus form a pair on the same
+    engine state, with each side first in half the pairs, so a swing in
+    machine speed falls on both sides of a pair instead of on one whole
+    leg.
+    """
     if ticks <= 0:
         raise ValueError("ticks must be positive")
     if scale <= 0:
         raise ValueError("scale must be positive")
     cfg = scenario_config(scale)
-    engine = MarketplaceEngine(
-        cfg, seed=seed, use_vectorized_step=leg["use_vectorized_step"]
-    )
-    endpoint = PingEndpoint(engine)
     clients = list(place_clients(cfg.region, max_clients=max_clients))
     requests = [
         (f"bench{i}", loc, None) for i, loc in enumerate(clients)
     ]
+    runners: Dict[str, Tuple[MarketplaceEngine, Callable[[], None]]] = {}
+    for name, leg in LEGS.items():
+        engine = MarketplaceEngine(
+            cfg, seed=seed, use_vectorized_step=leg["use_vectorized_step"]
+        )
+        endpoint = PingEndpoint(engine)
 
-    def serve() -> None:
-        if leg["per_client"]:
-            for account_id, location, car_types in requests:
-                endpoint.ping(account_id, location, car_types)
-        else:
-            endpoint.serve_round(requests)
+        def serve(endpoint: PingEndpoint = endpoint,
+                  per_client: bool = leg["per_client"]) -> None:
+            if per_client:
+                for account_id, location, car_types in requests:
+                    endpoint.ping(account_id, location, car_types)
+            else:
+                endpoint.serve_round(requests)
 
-    for _ in range(WARMUP_TICKS):
-        engine.tick()
-        serve()
-    # Start timing with no garbage pending from other code (an earlier
-    # leg, or earlier tests in the same process): one full collection
-    # of it can take longer than a whole quick-mode production leg.
+        for _ in range(WARMUP_TICKS):
+            engine.tick()
+            serve()
+        runners[name] = (engine, serve)
+    times: Dict[str, Dict[str, List[float]]] = {
+        name: {"tick": [], "ping": []} for name in LEGS
+    }
+    # Start timing with no garbage pending from other code (warm-up, or
+    # earlier tests in the same process): one full collection of it can
+    # take longer than a whole quick-mode production leg.
     gc.collect()
-    tick_s = ping_s = 0.0
-    for _ in range(ticks):
-        t0 = time.perf_counter()
-        engine.tick()
-        tick_s += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        serve()
-        ping_s += time.perf_counter() - t0
+    names = list(LEGS)
+    for k in range(ticks):
+        for name in names if k % 2 == 0 else names[::-1]:
+            engine, serve = runners[name]
+            t0 = time.perf_counter()
+            engine.tick()
+            t1 = time.perf_counter()
+            serve()
+            t2 = time.perf_counter()
+            times[name]["tick"].append(t1 - t0)
+            times[name]["ping"].append(t2 - t1)
+    return times
+
+
+def _leg_metrics(
+    times: Dict[str, List[float]], fleet_size: int, clients: int
+) -> Dict[str, float]:
+    """One leg's throughput from its per-tick times."""
+    ticks = len(times["tick"])
+    tick_s = sum(times["tick"])
+    ping_s = sum(times["ping"])
     total = tick_s + ping_s
     scenario_ticks = SCENARIO_HOURS * 3600.0 / TICK_S
     return {
-        "fleet_size": sum(cfg.fleet.values()),
+        "fleet_size": fleet_size,
         "cpu_count": os.cpu_count() or 1,
-        "clients": len(clients),
+        "clients": clients,
         "ticks_measured": ticks,
         "tick_wall_s": tick_s,
         "ping_wall_s": ping_s,
@@ -212,52 +237,9 @@ def _timed_campaign(
     }
 
 
-#: Interleaved (production, oracle) pairs behind the per-client ping
-#: ratio.
-PERCLIENT_PAIRS = 11
-
-
-def _perclient_ping_ratio(
-    scale: int, seed: int, max_clients: Optional[int]
-) -> float:
-    """Production's per-client ping rate over the oracle's: the median,
-    over interleaved pairs, of the oracle's time for one per-client
-    round divided by production's.
-
-    A ping does not advance the engine, so same-seed engines answer the
-    same round at the same state pair after pair.  Alternating the two
-    legs, and which goes first, lets a swing in machine speed fall on
-    both sides of a pair rather than on one whole leg.
-    """
-    cfg = scenario_config(scale)
-    clients = list(place_clients(cfg.region, max_clients=max_clients))
-    endpoints = []
-    for vectorized in (True, False):
-        engine = MarketplaceEngine(
-            cfg, seed=seed, use_vectorized_step=vectorized
-        )
-        for _ in range(WARMUP_TICKS):
-            engine.tick()
-        endpoints.append(PingEndpoint(engine))
-
-    def round_s(endpoint: PingEndpoint) -> float:
-        t0 = time.perf_counter()
-        for i, location in enumerate(clients):
-            endpoint.ping(f"bench{i}", location)
-        return time.perf_counter() - t0
-
-    production, oracle = endpoints
-    gc.collect()
-    ratios = []
-    for pair in range(PERCLIENT_PAIRS):
-        if pair % 2:
-            oracle_s = round_s(oracle)
-            production_s = round_s(production)
-        else:
-            production_s = round_s(production)
-            oracle_s = round_s(oracle)
-        ratios.append(oracle_s / production_s)
-    return statistics.median(ratios)
+def _paired_ratio(slow: Sequence[float], fast: Sequence[float]) -> float:
+    """The median, over lock-step pairs, of *slow*'s time over *fast*'s."""
+    return statistics.median(s / f for s, f in zip(slow, fast))
 
 
 def check_equivalence(
@@ -292,7 +274,8 @@ def check_equivalence(
 
     production, oracle = ALL_COMBOS
     return all(
-        run(city, production) == run(city, oracle) for city in CITIES
+        run(city, production) == run(city, oracle)
+        for city in CITY_CONFIGS
     )
 
 
@@ -363,18 +346,21 @@ def run_bench(
         QUICK_TICKS if quick else FULL_TICKS
     )
     max_clients = 200 if quick else None
+    times = _lockstep_legs(scale, ticks, seed, max_clients)
+    cfg = scenario_config(scale)
+    fleet_size = sum(cfg.fleet.values())
+    clients = len(place_clients(cfg.region, max_clients=max_clients))
     legs = {
-        name: _timed_campaign(leg, scale, ticks, seed, max_clients)
-        for name, leg in LEGS.items()
+        name: _leg_metrics(times[name], fleet_size, clients)
+        for name in LEGS
     }
-    perclient_ratio = _perclient_ping_ratio(scale, seed, max_clients)
     equivalent = check_equivalence(
         scale=1, ticks=30 if quick else 60, seed=seed + 8
     )
     sweep = _timed_sweep(quick, seed + 100)
-    prod = legs["production"]
-    perclient = legs["production_perclient"]
-    oracle = legs["oracle"]
+    prod = times["production"]
+    perclient = times["production_perclient"]
+    oracle = times["oracle"]
     cores = os.cpu_count() or 1
     speedup = {
         # The orchestrator headline: 4-campaign sweep, parallel vs
@@ -382,21 +368,23 @@ def run_bench(
         "sweep_parallel_vs_sequential": sweep["speedup"],
         # Batched round serving vs one ping() per request on the same
         # production engine (target: >= 1.5x).
-        "batched_vs_perclient_ping_rounds": (
-            prod["ping_rounds_per_s"] / perclient["ping_rounds_per_s"]
+        "batched_vs_perclient_ping_rounds": _paired_ratio(
+            perclient["ping"], prod["ping"]
         ),
         # One ping() per request, production (each a round of one) vs
-        # the oracle's per-client scan; interleaved median (target:
-        # >= 1x).
-        "perclient_ping_production_vs_oracle": perclient_ratio,
+        # the oracle's per-client scan (target: >= 1x).
+        "perclient_ping_production_vs_oracle": _paired_ratio(
+            oracle["ping"], perclient["ping"]
+        ),
         # Production vs oracle stepping, engine ticks only
         # (target: >= 2x).
-        "vector_vs_scalar_engine_ticks": (
-            prod["engine_ticks_per_s"] / oracle["engine_ticks_per_s"]
+        "vector_vs_scalar_engine_ticks": _paired_ratio(
+            oracle["tick"], prod["tick"]
         ),
         # Production vs oracle end to end: tick + ping round.
-        "defaults_vs_seed_campaign": (
-            prod["campaign_ticks_per_s"] / oracle["campaign_ticks_per_s"]
+        "defaults_vs_seed_campaign": _paired_ratio(
+            [t + p for t, p in zip(oracle["tick"], oracle["ping"])],
+            [t + p for t, p in zip(prod["tick"], prod["ping"])],
         ),
     }
     # Regression thresholds, recorded alongside the numbers they bound.
@@ -428,8 +416,8 @@ def run_bench(
         "cpu_count": cores,
         "scenario": (
             f"{SCENARIO_HOURS:g}h Manhattan x{scale} "
-            f"({prod['fleet_size']} drivers, "
-            f"{prod['clients']} clients, {TICK_S:g}s ticks)"
+            f"({fleet_size} drivers, "
+            f"{clients} clients, {TICK_S:g}s ticks)"
         ),
         "legs": legs,
         "sweep": sweep,

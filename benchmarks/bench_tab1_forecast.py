@@ -12,7 +12,8 @@ import statistics
 
 import pytest
 
-from _shared import city_config, per_area_clock_series, write_table
+from _shared import per_area_clock_series, write_table
+from repro.marketplace.config import city_config
 from repro.marketplace.types import CarType
 from repro.analysis.forecast import (
     build_dataset,

@@ -40,22 +40,13 @@ import statistics
 import sys
 from typing import Callable, List, Optional, TypeVar
 
-from repro.marketplace.config import manhattan_config, sf_config
+from repro.marketplace.config import CITY_CONFIGS, city_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.measurement.calibrate import visibility_radius
-from repro.measurement.fleet import Fleet, MarketplaceWorld, TaxiWorld
+from repro.measurement.fleet import MarketplaceWorld
 from repro.measurement.placement import place_clients
 from repro.measurement.records import CampaignLog
-
-
-def _config_for(city: str, jitter: float):
-    if city == "manhattan":
-        return manhattan_config(jitter_probability=jitter)
-    if city == "sf":
-        return sf_config(jitter_probability=jitter)
-    raise SystemExit(f"unknown city {city!r} (use manhattan or sf)")
-
 
 _T = TypeVar("_T")
 
@@ -124,6 +115,8 @@ def _seed_out_path(out: str, seed: int) -> str:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    from repro.parallel.orchestrator import CampaignSpec, run_sweep
+
     seeds = args.seeds or [args.seed]
     workers = [
         address.strip()
@@ -134,29 +127,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
         raise SystemExit("--workers and --cluster-listen are "
                          "mutually exclusive")
     cluster_mode = bool(workers) or args.cluster_listen is not None
-    if len(seeds) == 1 and args.jobs <= 1 and not cluster_mode:
-        # Single campaign: the original in-process path, exactly.
-        config = _config_for(args.city, args.jitter)
-        engine = MarketplaceEngine(config, seed=seeds[0])
-        positions = place_clients(config.region)
-        fleet = Fleet(positions, car_types=[CarType.UBERX],
-                      ping_interval_s=args.ping_interval)
-        print(f"{args.city}: {len(positions)} clients, "
-              f"{args.hours:g} h campaign after {args.warmup_hours:g} h "
-              "warm-up", file=sys.stderr)
-        log = fleet.run(
-            MarketplaceWorld(engine),
-            duration_s=args.hours * 3600.0,
-            city=args.city,
-            warmup_s=args.warmup_hours * 3600.0,
-        )
-        log.save(args.out)
-        print(f"wrote {len(log.rounds)} rounds to {args.out}")
-        return 0
-
-    # Sweep: one campaign per seed via the process-pool orchestrator.
-    from repro.parallel.orchestrator import CampaignSpec, run_sweep
-
     specs = [
         CampaignSpec(
             key=f"{args.city}-s{seed}",
@@ -207,6 +177,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
                 ),
             )
     else:
+        # One spec, or --jobs 1, runs in this process.
         print(f"{args.city}: sweep of {len(specs)} campaign(s), "
               f"jobs={args.jobs}", file=sys.stderr)
         outcomes = run_sweep(specs, jobs=args.jobs)
@@ -261,72 +232,48 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.jitter import detect_jitter_events
-    from repro.analysis.supply_demand import estimate_supply_demand
-    from repro.analysis.surge_stats import (
-        mean_multiplier,
-        surge_episodes,
-        surge_fraction,
-    )
+    from repro.analysis.report import audit_campaign
 
     log = CampaignLog.load(args.log)
-    if getattr(args, "full", False):
-        from repro.analysis.report import audit_campaign
-        print(audit_campaign(log).render())
+    report = audit_campaign(log)
+    if args.full:
+        print(report.render())
         return 0
-    print(f"campaign: {log.city}, {len(log.rounds)} rounds, "
-          f"{len(log.client_positions)} clients, "
-          f"{log.ping_interval_s:g} s pings")
-
-    estimates = estimate_supply_demand(log, car_type=CarType.UBERX)
-    if len(estimates) > 2:
-        supply = [e.supply for e in estimates[1:-1]]
-        demand = [e.demand for e in estimates[1:-1]]
+    print(f"campaign: {report.city}, {report.rounds} rounds, "
+          f"{report.clients} clients, {log.ping_interval_s:g} s pings")
+    # The audit trims the partial first and last 5-minute intervals
+    # only off a log that spans three or more; the summary reports
+    # trimmed series alone.
+    if log.rounds and (
+        log.rounds[-1].t // 300.0 - log.rounds[0].t // 300.0 >= 2
+    ):
+        supply = [s for _, s in report.supply_series]
+        demand = [d for _, d in report.demand_series]
         print(f"supply/5min: mean {statistics.mean(supply):.1f}, "
-              f"max {max(supply)}")
+              f"max {max(supply):.0f}")
         print(f"demand/5min: mean {statistics.mean(demand):.1f}, "
-              f"max {max(demand)} (upper bound)")
-
-    multipliers: List[float] = []
-    durations: List[float] = []
-    jitter_count = 0
-    for cid in log.client_ids:
-        series = log.multiplier_series(cid, CarType.UBERX)
-        multipliers.extend(m for _, m in series)
-        durations.extend(e.duration_s for e in surge_episodes(series))
-        jitter_count += len(detect_jitter_events(series, client_id=cid))
-    if multipliers:
-        indexed = list(enumerate(multipliers))
-        print(f"surge: active {100 * surge_fraction(indexed):.0f}% of "
-              f"samples, mean x{mean_multiplier(indexed):.2f}, "
-              f"max x{max(multipliers):.1f}")
+              f"max {max(demand):.0f} (upper bound)")
+    if CarType.UBERX in log.car_types():
+        print(f"surge: active {100 * report.surge_active_fraction:.0f}% "
+              f"of samples, mean x{report.mean_multiplier:.2f}, "
+              f"max x{report.max_multiplier:.1f}")
+    durations = report.episode_durations_s
     if durations:
         print(f"surge episodes: {len(durations)}, median "
               f"{statistics.median(durations) / 60:.1f} min")
-    print(f"jitter events detected: {jitter_count}")
+    print(f"jitter events detected: {len(report.jitter_events)}")
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from repro.geo.regions import midtown_manhattan
-    from repro.taxi.generator import (
-        TaxiGeneratorParams,
-        TaxiTraceGenerator,
-    )
-    from repro.taxi.replay import TaxiReplayServer
-    from repro.validation.validate import validate_against_taxis
+    from repro.validation.validate import run_taxi_validation
 
-    region = midtown_manhattan()
-    generator = TaxiTraceGenerator(
-        TaxiGeneratorParams(fleet_size=args.cabs, days=1.0),
-        seed=args.seed, region=region,
+    report = run_taxi_validation(
+        cabs=args.cabs,
+        hours=args.hours,
+        ping_interval_s=args.ping_interval,
+        seed=args.seed,
     )
-    replay = TaxiReplayServer(generator.generate(), seed=args.seed)
-    fleet = Fleet(place_clients(region, radius_m=100.0),
-                  ping_interval_s=args.ping_interval)
-    log = fleet.run(TaxiWorld(replay), duration_s=args.hours * 3600.0,
-                    city="taxi", warmup_s=9 * 3600.0)
-    report = validate_against_taxis(log, replay, boundary=region.boundary)
     print(f"cars captured:   {100 * report.car_capture:.1f}%  (paper 97%)")
     print(f"deaths captured: {100 * report.death_capture:.1f}%  (paper 95%)")
     print(f"supply correlation: {report.supply_correlation:.3f}")
@@ -381,7 +328,7 @@ def cmd_tracestats(args: argparse.Namespace) -> int:
 def cmd_surgemap(args: argparse.Namespace) -> int:
     from repro.api.partner import PartnerView
 
-    config = _config_for(args.city, jitter=0.0)
+    config = city_config(args.city, jitter_probability=0.0)
     engine = MarketplaceEngine(config, seed=args.seed)
     engine.run(args.hour * 3600.0)
     view = PartnerView(engine)
@@ -396,7 +343,7 @@ def cmd_surgemap(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    config = _config_for(args.city, jitter=0.0)
+    config = city_config(args.city, jitter_probability=0.0)
     engine = MarketplaceEngine(config, seed=args.seed)
     engine.run(args.hour * 3600.0)
     radius = visibility_radius(
@@ -419,7 +366,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.api.ratelimit import RateLimiter
     from repro.service import AsgiHttpServer, MarketplaceService
 
-    config = _config_for(args.city, args.jitter)
+    config = city_config(args.city, args.jitter)
     engine = MarketplaceEngine(config, seed=args.seed)
     if args.hour > 0:
         print(f"{args.city}: warming engine to {args.hour:g}h ...",
@@ -516,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     measure = sub.add_parser("measure", help="run a measurement campaign")
     measure.add_argument("--city", default="manhattan",
-                         choices=("manhattan", "sf"))
+                         choices=tuple(CITY_CONFIGS))
     measure.add_argument("--hours", type=_positive, default=2.0)
     measure.add_argument("--warmup-hours", type=_non_negative,
                          default=7.0)
@@ -620,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     surgemap = sub.add_parser("surgemap",
                               help="render the Partner-app surge map")
     surgemap.add_argument("--city", default="manhattan",
-                          choices=("manhattan", "sf"))
+                          choices=tuple(CITY_CONFIGS))
     surgemap.add_argument("--hour", type=_non_negative, default=18.0)
     surgemap.add_argument("--seed", type=int, default=2015)
     surgemap.set_defaults(func=cmd_surgemap)
@@ -628,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate = sub.add_parser("calibrate",
                                help="visibility-radius experiment")
     calibrate.add_argument("--city", default="manhattan",
-                           choices=("manhattan", "sf"))
+                           choices=tuple(CITY_CONFIGS))
     calibrate.add_argument("--hour", type=_non_negative, default=9.0)
     calibrate.add_argument("--seed", type=int, default=2015)
     calibrate.set_defaults(func=cmd_calibrate)
@@ -639,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(REST estimates + the pingClient stream)",
     )
     serve.add_argument("--city", default="sf",
-                       choices=("manhattan", "sf"))
+                       choices=tuple(CITY_CONFIGS))
     serve.add_argument("--hour", type=_non_negative, default=9.0,
                        help="simulated hours to warm the engine before "
                             "serving (default 9; 0 = no warm-up)")

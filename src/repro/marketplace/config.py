@@ -24,7 +24,7 @@ each run lands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.geo.regions import CityRegion, downtown_sf, midtown_manhattan
 from repro.marketplace.jitter import JitterParams
@@ -290,3 +290,21 @@ def sf_config(
         start_weekday=start_weekday,
         burst=BurstParams(rho=0.78, sigma=0.45, cap=4.5),
     )
+
+
+#: City name -> scenario factory.  Every command, campaign spec and
+#: bench that names a city looks it up here (``repro measure --city``).
+CITY_CONFIGS: Dict[str, Callable[..., CityConfig]] = {
+    "manhattan": manhattan_config,
+    "sf": sf_config,
+}
+
+
+def city_config(city: str, jitter_probability: float = 0.25) -> CityConfig:
+    """The scenario named *city*; an unknown name is a ``ValueError``."""
+    factory = CITY_CONFIGS.get(city)
+    if factory is None:
+        raise ValueError(
+            f"unknown city {city!r} (use one of {sorted(CITY_CONFIGS)})"
+        )
+    return factory(jitter_probability=jitter_probability)

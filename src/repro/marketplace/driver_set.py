@@ -80,12 +80,6 @@ class DriverSetPricingEngine(MarketplaceEngine):
             return 1.0
         return nearest[0].personal_rate
 
-    def observed_multiplier(
-        self, account_id: str, location: LatLon, car_type: CarType
-    ) -> float:
-        # No surge areas, no server cache — nothing to serve stale.
-        return self.true_multiplier(location, car_type)
-
     def round_observed_multiplier(
         self,
         account_id: str,
@@ -94,10 +88,8 @@ class DriverSetPricingEngine(MarketplaceEngine):
         area_id: Optional[int],
         stale: bool,
     ) -> float:
-        # The batched path precomputes surge inputs this pricing mode
-        # ignores; defer to the per-client lookup so production and
-        # oracle serve the same multiplier here too.
-        return self.observed_multiplier(account_id, location, car_type)
+        # No surge areas, no server cache — nothing to serve stale.
+        return self.true_multiplier(location, car_type)
 
     # ------------------------------------------------------------------
     # Rate dynamics
@@ -105,10 +97,8 @@ class DriverSetPricingEngine(MarketplaceEngine):
     def _post_step(self, now: float, dt: float) -> None:
         p = self.pricing
         review_probability = dt / p.decision_s
-        for online in self._online_by_type.values():
-            for driver in online:
-                if not driver.is_dispatchable:
-                    continue
+        for car_type in self._online_by_type:
+            for driver in self.idle_drivers(car_type):
                 if self.rng.random() >= review_probability:
                     continue
                 anchor = driver.last_trip_at

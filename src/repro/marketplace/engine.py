@@ -359,14 +359,13 @@ class MarketplaceEngine:
         self, account_id: str, location: LatLon, car_type: CarType
     ) -> float:
         """What a given client account is served — jitter bug included."""
-        if not car_type.surge_eligible:
-            return 1.0
-        area_id = self.area_id_of(location)
-        if area_id is None:
-            return 1.0
-        if self.jitter.is_stale(account_id, self.clock.now):
-            return self.surge.previous_multiplier(area_id)
-        return self.surge.multiplier(area_id)
+        return self.round_observed_multiplier(
+            account_id,
+            location,
+            car_type,
+            self.area_id_of(location),
+            self.jitter.is_stale(account_id, self.clock.now),
+        )
 
     # ------------------------------------------------------------------
     # Car/EWT views (consumed by the API layer)
@@ -458,14 +457,14 @@ class MarketplaceEngine:
         area_id: Optional[int],
         stale: bool,
     ) -> float:
-        """:meth:`observed_multiplier` with the per-round shared work
-        (area lookup, jitter staleness) hoisted out by the caller.
+        """The multiplier *account_id* is served, given the surge area
+        of *location* and whether the account's jitter window is open.
 
-        Overridable hook: pricing engines that redefine
-        ``observed_multiplier`` (e.g. ``DriverSetPricingEngine``) must
-        override this too, or the batched path would diverge from the
-        per-client path.  The base implementation is byte-for-byte the
-        ``observed_multiplier`` logic with the precomputed inputs.
+        The one copy of the surge/jitter rule: :meth:`observed_multiplier`
+        looks both inputs up and calls it, and a served round computes
+        them once per request.  Pricing engines override this method
+        alone (e.g. ``DriverSetPricingEngine``), so both serving paths
+        change together.
         """
         if not car_type.surge_eligible:
             return 1.0

@@ -27,7 +27,6 @@ from repro.measurement.fleet import (
     TaxiWorld,
     World,
 )
-from repro.measurement.campaign import CampaignPlan, CampaignResult
 from repro.measurement.placement import place_clients
 from repro.measurement.scheduler import ProbePlan, RequestScheduler
 from repro.measurement.calibrate import (
@@ -48,8 +47,6 @@ __all__ = [
     "TaxiWorld",
     "World",
     "place_clients",
-    "CampaignPlan",
-    "CampaignResult",
     "ProbePlan",
     "RequestScheduler",
     "CalibrationReport",

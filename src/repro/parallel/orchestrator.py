@@ -35,9 +35,9 @@ import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.marketplace.config import CityConfig, manhattan_config, sf_config
+from repro.marketplace.config import city_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.measurement.fleet import Fleet, MarketplaceWorld
@@ -50,14 +50,6 @@ DEFAULT_WORKER_CAP = 4
 
 #: Seconds between a pool worker's checks that its parent still lives.
 PARENT_POLL_S = 0.25
-
-#: City name -> config factory, the same names ``repro measure --city``
-#: accepts.  Factories take the jitter probability.
-CITY_CONFIGS: Dict[str, Callable[[float], CityConfig]] = {
-    "manhattan": lambda jitter: manhattan_config(jitter_probability=jitter),
-    "sf": lambda jitter: sf_config(jitter_probability=jitter),
-}
-
 
 def resolve_workers(workers: Optional[int]) -> int:
     """Effective worker count for a sweep's process pool.
@@ -210,6 +202,9 @@ def truth_digest(engine: MarketplaceEngine) -> str:
 def execute_campaign(spec: CampaignSpec) -> CampaignOutcome:
     """Run one campaign start to finish; never raises.
 
+    The one place campaign parameters become a marketplace log:
+    ``repro measure`` (one seed or a sweep, local or clustered), the
+    cluster workers and the bench cache all run their specs here.
     Module-level and spec-in/outcome-out so it pickles cleanly as a
     :class:`~concurrent.futures.ProcessPoolExecutor` work item.  Any
     exception — bad spec, engine error, disk error on save — becomes a
@@ -218,13 +213,7 @@ def execute_campaign(spec: CampaignSpec) -> CampaignOutcome:
     """
     started = time.perf_counter()  # repro: noqa=REP002 -- wall_s is measurement metadata (straggler skew), excluded from outcome identity; never feeds simulation state
     try:
-        factory = CITY_CONFIGS.get(spec.city)
-        if factory is None:
-            raise ValueError(
-                f"unknown city {spec.city!r} "
-                f"(use one of {sorted(CITY_CONFIGS)})"
-            )
-        config = factory(spec.jitter)
+        config = city_config(spec.city, spec.jitter)
         engine = MarketplaceEngine(config, seed=spec.seed)
         positions = place_clients(
             config.region, max_clients=spec.max_clients

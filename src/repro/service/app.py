@@ -31,6 +31,7 @@ framework dependency; it runs under the stdlib server in
 from __future__ import annotations
 
 import json
+import math
 from typing import (
     Any,
     Awaitable,
@@ -89,7 +90,21 @@ def _require(params: Dict[str, str], name: str) -> str:
         raise _BadRequest(f"missing required parameter {name!r}") from None
 
 
-def _require_float(params: Dict[str, str], name: str) -> float:
+def _degrees(name: str, value: float, limit: float) -> float:
+    """*value* as a float within ±*limit* degrees, else a 400 naming
+    *name*.  NaN, infinities and integers too large for a float all
+    fall outside."""
+    try:
+        degrees = float(value)
+    except OverflowError:
+        degrees = math.inf
+    if not -limit <= degrees <= limit:
+        raise _BadRequest(f"{name} must be a number in "
+                          f"[-{limit:g}, {limit:g}], got {degrees!r}")
+    return degrees
+
+
+def _require_degrees(params: Dict[str, str], name: str, limit: float) -> float:
     raw = _require(params, name)
     try:
         value = float(raw)
@@ -97,9 +112,16 @@ def _require_float(params: Dict[str, str], name: str) -> float:
         raise _BadRequest(
             f"parameter {name!r} must be a number, got {raw!r}"
         ) from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise _BadRequest(f"parameter {name!r} must be finite")
-    return value
+    return _degrees(f"parameter {name!r}", value, limit)
+
+
+def _require_location(
+    params: Dict[str, str], lat_name: str, lon_name: str
+) -> LatLon:
+    return LatLon(
+        _require_degrees(params, lat_name, 90.0),
+        _require_degrees(params, lon_name, 180.0),
+    )
 
 
 def _car_types(
@@ -223,34 +245,22 @@ class MarketplaceService:
             )
         account_id = _require(params, "account_id")
         if path == "/v1/estimates/price":
-            start = LatLon(
-                _require_float(params, "start_lat"),
-                _require_float(params, "start_lon"),
-            )
-            end = LatLon(
-                _require_float(params, "end_lat"),
-                _require_float(params, "end_lon"),
-            )
+            start = _require_location(params, "start_lat", "start_lon")
+            end = _require_location(params, "end_lat", "end_lon")
             return serialize.encode_price_estimates(
                 self.rest.price_estimates(
                     account_id, start, end, _car_types(params)
                 )
             )
         if path == "/v1/estimates/time":
-            location = LatLon(
-                _require_float(params, "lat"),
-                _require_float(params, "lon"),
-            )
+            location = _require_location(params, "lat", "lon")
             return serialize.encode_time_estimates(
                 self.rest.time_estimates(
                     account_id, location, _car_types(params)
                 )
             )
         # /v1/surge
-        location = LatLon(
-            _require_float(params, "lat"),
-            _require_float(params, "lon"),
-        )
+        location = _require_location(params, "lat", "lon")
         raw_type = params.get("car_type")
         if raw_type is None:
             car_type = CarType.UBERX
@@ -336,9 +346,15 @@ class MarketplaceService:
                     raise _BadRequest(
                         f"unknown car type {token!r}"
                     ) from None
-        reply = await self.rounds.submit(
-            (account_id, LatLon(float(lat), float(lon)), car_types)
-        )
+        try:
+            location = LatLon(float(lat), float(lon))
+        except (ValueError, OverflowError):
+            # Name the coordinate that is off the globe, NaN or too
+            # large for a float; a valid ping skips these checks.
+            _degrees("lat", lat, 90.0)
+            _degrees("lon", lon, 180.0)
+            raise
+        reply = await self.rounds.submit((account_id, location, car_types))
         return serialize.encode_ping_reply(reply)
 
 

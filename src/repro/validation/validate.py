@@ -14,8 +14,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.geo.polygon import Polygon
+from repro.geo.regions import midtown_manhattan
 from repro.marketplace.types import CarType
+from repro.measurement.fleet import Fleet, TaxiWorld
+from repro.measurement.placement import place_clients
 from repro.measurement.records import CampaignLog
+from repro.taxi.generator import TaxiGeneratorParams, TaxiTraceGenerator
 from repro.taxi.replay import TaxiReplayServer
 from repro.analysis.supply_demand import estimate_supply_demand
 
@@ -107,3 +111,27 @@ def validate_against_taxis(
         ),
         intervals=rows,
     )
+
+
+def run_taxi_validation(
+    cabs: int, hours: float, ping_interval_s: float, seed: int
+) -> ValidationReport:
+    """The §3.5 experiment end to end: trace, replay, measure, score.
+
+    Generates one day of trips for *cabs* cabs in midtown Manhattan,
+    replays it behind the ping API, measures it from 9 am for *hours*
+    with a fleet on a 100 m grid pinging every *ping_interval_s*
+    seconds, and scores the log with :func:`validate_against_taxis`.
+    ``repro validate`` and the Fig 4 bench both run it.
+    """
+    region = midtown_manhattan()
+    generator = TaxiTraceGenerator(
+        TaxiGeneratorParams(fleet_size=cabs, days=1.0),
+        seed=seed, region=region,
+    )
+    replay = TaxiReplayServer(generator.generate(), seed=seed)
+    fleet = Fleet(place_clients(region, radius_m=100.0),
+                  ping_interval_s=ping_interval_s)
+    log = fleet.run(TaxiWorld(replay), duration_s=hours * 3600.0,
+                    city="taxi", warmup_s=9 * 3600.0)
+    return validate_against_taxis(log, replay, boundary=region.boundary)

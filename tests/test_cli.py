@@ -1,8 +1,26 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: ``repro analyze`` stdout on the log of ``test_measure_then_analyze``
+#: (Manhattan, seed 2015, 0.25 h at 30 s pings after 0.5 h of warm-up),
+#: and the sha256 of ``repro analyze --full`` stdout on it.  A change to
+#: the campaign runner or to the audit that moves one byte fails here.
+ANALYZE_SUMMARY = """\
+campaign: manhattan, 30 rounds, 42 clients, 30 s pings
+supply/5min: mean 18.0, max 18
+demand/5min: mean 3.0, max 3 (upper bound)
+surge: active 18% of samples, mean x1.05, max x1.4
+surge episodes: 27, median 3.5 min
+jitter events detected: 3
+"""
+ANALYZE_FULL_SHA256 = (
+    "7b91c9cf67c42be6aa88460caf844fcde0c507516ef1fe3c5943bf3478e631ee"
+)
 
 
 class TestParser:
@@ -108,9 +126,12 @@ class TestEndToEnd:
 
         rc = main(["analyze", str(out)])
         assert rc == 0
-        captured = capsys.readouterr()
-        assert "supply/5min" in captured.out
-        assert "surge" in captured.out
+        assert capsys.readouterr().out == ANALYZE_SUMMARY
+
+        rc = main(["analyze", "--full", str(out)])
+        assert rc == 0
+        full = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(full).hexdigest() == ANALYZE_FULL_SHA256
 
     def test_measure_multi_seed_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.jsonl"

@@ -93,3 +93,42 @@ class TestRateDynamics:
         ]
         # In a busy free market, some trips clear above or below base.
         assert surged
+
+
+class TestProductionMatchesOracle:
+    def test_same_seed_serves_and_evolves_identically(self):
+        """The free-market engine on production and on the oracle
+        (``use_vectorized_step=False``), same seed: truth, trips,
+        every driver's personal rate, RNG state and the replies of a
+        ping round every 5 minutes must all be equal."""
+        from repro.api.ping import PingEndpoint
+        from repro.marketplace.config import sf_config
+        from repro.measurement.placement import place_clients
+
+        def run(vectorized: bool):
+            engine = DriverSetPricingEngine(
+                sf_config(), seed=29, use_vectorized_step=vectorized
+            )
+            endpoint = PingEndpoint(engine)
+            requests = [
+                (f"ds{i}", location, None)
+                for i, location in enumerate(
+                    place_clients(engine.config.region, max_clients=8)
+                )
+            ]
+            replies = []
+            for _ in range(12):
+                engine.run(300.0)
+                replies.extend(endpoint.serve_round(requests))
+            return (
+                engine.truth,
+                engine.completed_trips,
+                [d.personal_rate for d in engine.drivers],
+                engine.rng.getstate(),
+                replies,
+            )
+
+        production, oracle = run(True), run(False)
+        assert production[1], "no trips: the comparison is vacuous"
+        assert len(set(production[2])) > 1
+        assert production == oracle

@@ -103,8 +103,23 @@ class TestHttpRoutes:
         assert response.json()["error"] == "bad_request"
 
     def test_non_finite_parameter_is_400(self, client):
-        response = client.get("/v1/surge?account_id=a&lat=nan&lon=-74.0")
-        assert response.status == 400
+        """NaN, infinite and off-the-globe coordinates are 400s naming
+        the parameter, never an exception out of the app (a 500)."""
+        for target, name in [
+            ("/v1/surge?account_id=a&lat=nan&lon=-74.0", "lat"),
+            ("/v1/surge?account_id=a&lat=1e999&lon=-74.0", "lat"),
+            ("/v1/estimates/time?account_id=a&lat=91&lon=0", "lat"),
+            ("/v1/surge?account_id=a&lat=37.7&lon=-200", "lon"),
+            ("/v1/estimates/price?account_id=a&start_lat=95&start_lon=0"
+             "&end_lat=0&end_lon=0", "start_lat"),
+            ("/v1/estimates/price?account_id=a&start_lat=0&start_lon=0"
+             "&end_lat=0&end_lon=180.5", "end_lon"),
+        ]:
+            response = client.get(target)
+            assert response.status == 400, target
+            body = response.json()
+            assert body["error"] == "bad_request"
+            assert f"parameter {name!r}" in body["detail"]
 
     def test_unknown_car_type_is_400(self, client, center):
         response = client.get(
@@ -270,6 +285,19 @@ class TestWebSocketProtocol:
                 }
             )
             assert "warp_drive" in ws.receive_json()["detail"]
+            # Coordinates off the globe, NaN, overflowing floats and
+            # integers too large for a float, each named in the reply.
+            for message, name in [
+                ('{"account_id": "a", "lat": 91, "lon": 0}', "lat"),
+                ('{"account_id": "a", "lat": NaN, "lon": 0}', "lat"),
+                ('{"account_id": "a", "lat": 40.7, "lon": 1e999}', "lon"),
+                ('{"account_id": "a", "lat": 0, "lon": -'
+                 + "9" * 400 + "}", "lon"),
+            ]:
+                ws.send_text(message)
+                reply = ws.receive_json()
+                assert reply["error"] == "bad_request"
+                assert reply["detail"].startswith(f"{name} must be")
             # The session survives every malformed message: a valid
             # ping on the same connection is still answered.
             ws.send_json(
