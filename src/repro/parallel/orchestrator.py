@@ -116,6 +116,11 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.key:
             raise ValueError("spec key must be non-empty")
+        # Negated comparisons so NaN fails them too.
+        if not self.hours > 0:
+            raise ValueError("hours must be positive")
+        if not self.warmup_hours >= 0:
+            raise ValueError("warm-up cannot be negative")
 
 
 @dataclass(frozen=True)

@@ -189,28 +189,6 @@ def test_campaign_log_written_by_worker(tmp_path):
     assert len(log.rounds) == int(outcome.metrics["rounds"])
 
 
-def test_execute_campaign_rounds_follow_warmup_and_interval(tmp_path):
-    """Ten minutes at 30 s pings after five of warm-up: 20 rounds, the
-    first after the warm-up, 30 s apart, in a log the supply/demand
-    estimator reads."""
-    from repro.analysis.supply_demand import estimate_supply_demand
-    from repro.measurement.records import CampaignLog
-
-    out = tmp_path / "c.jsonl"
-    outcome = execute_campaign(_tiny_spec(
-        "rounds", hours=1 / 6, warmup_hours=1 / 12,
-        ping_interval_s=30.0, out=str(out),
-    ))
-    assert outcome.ok
-    log = CampaignLog.load(out)
-    assert len(log.rounds) == outcome.metrics["rounds"] == 20
-    assert log.rounds[0].t >= 300.0
-    assert {b.t - a.t for a, b in zip(log.rounds, log.rounds[1:])} == {
-        30.0
-    }
-    assert estimate_supply_demand(log)
-
-
 def test_save_failure_is_a_structured_error(tmp_path):
     """A disk error *after* a successful run (unwritable out path) must
     still come back as an error outcome, not an exception — the save is
