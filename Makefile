@@ -8,8 +8,8 @@ PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint lint-concurrency typecheck test perfbench-selftest \
-	perfbench-digests fig04-check bench-quick serve-bench bench-cluster \
-	coverage check
+	perfbench-digests fig02-check fig04-check bench-quick serve-bench \
+	bench-cluster coverage check
 
 ## Both lint passes (determinism REP001-REP006 + concurrency
 ## REP101-REP105) over the source tree.
@@ -54,6 +54,17 @@ perfbench-selftest:
 perfbench-digests:
 	$(PY) perfbench/run.py --workload campaign-x20 --seed 2015 --seconds 1
 	$(PY) perfbench/run.py --workload metro-x153 --seed 2015 --seconds 1
+
+## Fig 2's walk-outward calibration (four clients pinging in lock-step
+## rounds, every two simulated hours of a day, in both cities), with its
+## table pinned: the bench rewrites
+## benchmarks/out/fig02_visibility_radius.txt, and any byte that
+## differs from the committed file fails the target.  Not a CI step
+## until it has been seen to pass on CI's 3.10 and 3.12 legs.
+fig02-check:
+	$(PY) -m pytest benchmarks/bench_fig02_visibility_radius.py -q \
+		--benchmark-disable
+	git diff --exit-code -- benchmarks/out/fig02_visibility_radius.txt
 
 ## Fig 4's taxi validation end to end (trace generator, replayer,
 ## measurement fleet, capture-rate scoring), with its table pinned: the

@@ -94,11 +94,6 @@ from repro.measurement.placement import place_clients
 from repro.parallel.orchestrator import CampaignSpec, run_sweep
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_perf_engine.json"
-#: CI also wants the result at the repo root (uploaded as the run's
-#: headline artifact); ``main`` writes both copies.
-ROOT_OUT_PATH = Path(__file__).resolve().parent.parent / (
-    "BENCH_perf_engine.json"
-)
 
 #: The scenario the full bench samples from: six simulated hours of
 #: midtown Manhattan at 20x the paper-era fleet (6 540 drivers), with
@@ -453,7 +448,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     blob = json.dumps(result, indent=2) + "\n"
     args.out.write_text(blob)
-    ROOT_OUT_PATH.write_text(blob)
 
     lines: List[str] = [f"scenario: {result['scenario']}"]
     legs = result["legs"]
@@ -505,7 +499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             + ", ".join(threshold_failures)
         )
     print("\n".join(lines))
-    print(f"wrote {args.out} (and {ROOT_OUT_PATH})")
+    print(f"wrote {args.out}")
     ok = (
         result["truth_equivalent"]
         and result["sweep_deterministic"]

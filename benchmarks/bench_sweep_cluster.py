@@ -64,10 +64,6 @@ from repro.parallel.orchestrator import (
 )
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_sweep_cluster.json"
-#: CI uploads the repo-root copy as the run's cluster artifact.
-ROOT_OUT_PATH = Path(__file__).resolve().parent.parent / (
-    "BENCH_sweep_cluster.json"
-)
 
 #: The sweep: two cities × four seeds, digest-only (``out=None``).
 CITIES = ("manhattan", "sf")
@@ -307,7 +303,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     blob = json.dumps(result, indent=2) + "\n"
     args.out.write_text(blob)
-    ROOT_OUT_PATH.write_text(blob)
 
     sweep = result["sweep"]
     lines: List[str] = [
@@ -359,7 +354,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             + ", ".join(threshold_failures)
         )
     print("\n".join(lines))
-    print(f"wrote {args.out} (and {ROOT_OUT_PATH})")
+    print(f"wrote {args.out}")
     ok = result["identities_byte_identical"] and not threshold_failures
     return 0 if ok else 1
 

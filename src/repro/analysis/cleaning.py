@@ -14,6 +14,7 @@ then:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -131,10 +132,10 @@ def detect_deaths(
             continue
         if track.last_seen >= last_round_t:
             continue  # still alive when the campaign ended
-        # Death timestamp: the first round strictly after last_seen.
-        t_death = next(
-            (t for t in round_times if t > track.last_seen), last_round_t
-        )
+        # Death timestamp: the first round strictly after last_seen
+        # (the log's round times ascend, and last_seen precedes the
+        # final round).
+        t_death = round_times[bisect_right(round_times, track.last_seen)]
         pos = track.last_position
         near_edge = False
         if boundary is not None:

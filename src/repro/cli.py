@@ -404,56 +404,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.lint import (
-        ALL_CODE_SUMMARIES,
-        explain_rule,
-        render_json,
-        render_sarif,
-        render_text,
-        run_lint,
-    )
-
-    if args.explain:
-        entry = explain_rule(args.explain.upper())
-        if entry is None:
-            known = ", ".join(sorted(ALL_CODE_SUMMARIES))
-            print(
-                f"lint: unknown rule code {args.explain!r} "
-                f"(known: {known})",
-                file=sys.stderr,
-            )
-            return 2
-        print(entry)
-        return 0
-
-    if args.format and args.json and args.format != "json":
-        print(f"lint: --json conflicts with --format {args.format}",
-              file=sys.stderr)
-        return 2
-    fmt = args.format or ("json" if args.json else "text")
-
-    missing = [p for p in args.paths if not os.path.exists(p)]
-    if missing:
-        print(f"lint: no such path: {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
-    result = run_lint(args.paths)
-    if fmt == "json":
-        report = render_json(result)
-    elif fmt == "sarif":
-        report = render_sarif(result)
-    else:
-        report = render_text(result,
-                             show_suppressed=args.show_suppressed)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-    else:
-        print(report)
-    return 1 if result.active else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -603,37 +553,27 @@ def build_parser() -> argparse.ArgumentParser:
                             "for concurrent pings to join the batch")
     serve.set_defaults(func=cmd_serve)
 
-    lint = sub.add_parser(
+    # Every flag of `lint` belongs to repro.devtools.lint.run_cli; main()
+    # hands it the rest of the command line.
+    sub.add_parser(
         "lint",
+        add_help=False,
         help="static analysis: determinism (REP001-REP006) and "
-             "concurrency/async hazards (REP101-REP105)",
+             "concurrency/async hazards (REP101-REP105); "
+             "`repro lint --help` lists its options",
     )
-    lint.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default=None,
-                      help="report format (default: text)")
-    lint.add_argument("--json", action="store_true",
-                      help="shorthand for --format json")
-    lint.add_argument("--output", metavar="FILE",
-                      help="write the report to FILE instead of stdout")
-    lint.add_argument(
-        "--show-suppressed", action="store_true",
-        help="also list justified-suppressed findings",
-    )
-    lint.add_argument(
-        "--explain", metavar="CODE",
-        help="print the documentation entry for a rule code and exit",
-    )
-    lint.set_defaults(func=cmd_lint)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.devtools.lint import run_cli
+
+        return run_cli(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

@@ -14,6 +14,10 @@ Three experiments precede any data collection:
    NE/NW/SE/SW every 5 s until they no longer share a single observed
    car; the radius is ``r = sum(D_c) / (4 * sqrt(2)) ~= 0.1768 * sum(D_c)``
    (a 45-45-90 triangle argument with D the hypotenuse).
+
+Every step of every experiment is one lock-step round of its clients
+(:func:`~repro.measurement.fleet.ping_round`), as the campaign fleet's
+is.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import List, Optional, Tuple
 from repro.geo.latlon import LatLon
 from repro.marketplace.types import CarType
 from repro.measurement.client import MeasurementClient
-from repro.measurement.fleet import World
+from repro.measurement.fleet import World, ping_round
 
 #: The paper's constant: 1 / (4 * sqrt(2)).
 RADIUS_COEFFICIENT = 0.1768
@@ -68,8 +72,7 @@ def check_determinism(
     ]
     for round_no in range(rounds):
         observations = []
-        for client in clients:
-            samples, _ = client.observe(world.server)
+        for samples, _ in ping_round(world.server, clients):
             sample = samples.get(car_type)
             observations.append(
                 None
@@ -114,8 +117,9 @@ def check_surge_impact(
     rounds = 0
     end = world.now + duration_s
     while world.now < end:
-        for client in clients:
-            samples, _ = client.observe(world.server)
+        for client, (samples, _) in zip(
+            clients, ping_round(world.server, clients)
+        ):
             sample = samples.get(car_type)
             if sample is not None and sample.multiplier > 1.0:
                 return CalibrationReport(
@@ -148,8 +152,7 @@ def visibility_radius(
     ]
     for _ in range(max_steps):
         observed: List[frozenset] = []
-        for client in clients:
-            samples, _ = client.observe(world.server)
+        for samples, _ in ping_round(world.server, clients):
             sample = samples.get(car_type)
             observed.append(
                 frozenset() if sample is None else frozenset(sample.car_ids)

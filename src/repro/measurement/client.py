@@ -17,9 +17,12 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.geo.latlon import LatLon
 from repro.api.models import PingReply
-from repro.api.ping import PingServer
 from repro.marketplace.types import CarType
 from repro.measurement.records import ClientSample
+
+#: What a client makes of one reply: its sample per car type, and the
+#: position of every car it saw, keyed by car ID.
+Digest = Tuple[Dict[CarType, ClientSample], Dict[str, Tuple[float, float]]]
 
 
 class MeasurementClient:
@@ -38,36 +41,14 @@ class MeasurementClient:
         self.car_types = None if car_types is None else tuple(car_types)
         self.pings_sent = 0
 
-    def ping(self, server: PingServer) -> PingReply:
-        """Send one pingClient message and return the raw reply."""
-        self.pings_sent += 1
-        return server.ping(self.client_id, self.location, self.car_types)
+    def absorb(self, reply: PingReply) -> Digest:
+        """Digest this client's reply from a lock-step round.
 
-    def observe(
-        self, server: PingServer
-    ) -> Tuple[Dict[CarType, ClientSample], Dict[str, Tuple[float, float]]]:
-        """Ping and digest the reply into log-ready samples.
-
-        Returns per-type samples plus the positions of every car seen, for
-        merging into the fleet's round record.
-        """
-        return self._digest(self.ping(server))
-
-    def absorb(
-        self, reply: PingReply
-    ) -> Tuple[Dict[CarType, ClientSample], Dict[str, Tuple[float, float]]]:
-        """Digest a reply served out-of-band (a batched round).
-
-        Identical to :meth:`observe` except the reply arrives from
-        ``PingServer.serve_round`` instead of an individual ping; the
-        client still accounts it as one ping sent.
+        Returns per-type samples plus the positions of every car seen,
+        for merging into the fleet's round record.  Each reply counts as
+        one ping sent.
         """
         self.pings_sent += 1
-        return self._digest(reply)
-
-    def _digest(
-        self, reply: PingReply
-    ) -> Tuple[Dict[CarType, ClientSample], Dict[str, Tuple[float, float]]]:
         samples: Dict[CarType, ClientSample] = {}
         cars: Dict[str, Tuple[float, float]] = {}
         for status in reply.statuses:

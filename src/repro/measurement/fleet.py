@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.latlon import LatLon
 from repro.api.ping import PingEndpoint, PingServer
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
-from repro.measurement.client import MeasurementClient
+from repro.measurement.client import Digest, MeasurementClient
 from repro.measurement.records import CampaignLog, RoundRecord
 from repro.taxi.replay import TaxiReplayServer
 
@@ -80,6 +80,23 @@ class TaxiWorld(World):
         self.replay.advance(dt)
 
 
+def ping_round(
+    server: PingServer, clients: Sequence[MeasurementClient]
+) -> List[Digest]:
+    """One lock-step round: every client pings at this instant.
+
+    The round is answered by one :meth:`PingServer.serve_round` call,
+    so a server with a batched round path answers every client in one
+    pass.  Each client then absorbs its reply, in client order; the
+    digests come back in that order.  The measurement fleet and the
+    §3.4 calibration experiments ping through this function alone.
+    """
+    replies = server.serve_round(
+        [(c.client_id, c.location, c.car_types) for c in clients]
+    )
+    return [client.absorb(reply) for client, reply in zip(clients, replies)]
+
+
 class Fleet:
     """A set of measurement clients run in lock-step.
 
@@ -118,20 +135,13 @@ class Fleet:
         return {c.client_id: c.location for c in self.clients}
 
     def measure_round(self, server: PingServer) -> RoundRecord:
-        """One synchronized ping round across all clients.
-
-        Served through :meth:`PingServer.serve_round`, so a server with
-        a batched round path answers the whole fleet in one vectorized
-        pass; the default implementation pings per client.  Either way
-        the replies — and hence the round record — are identical.
-        """
-        replies = server.serve_round(
-            [(c.client_id, c.location, c.car_types) for c in self.clients]
-        )
+        """One synchronized ping round across all clients, merged into
+        a round record (see :func:`ping_round`)."""
         samples = {}
         cars: Dict[str, Tuple[float, float]] = {}
-        for client, reply in zip(self.clients, replies):
-            client_samples, client_cars = client.absorb(reply)
+        for client, (client_samples, client_cars) in zip(
+            self.clients, ping_round(server, self.clients)
+        ):
             for car_type, sample in client_samples.items():
                 samples[(client.client_id, car_type)] = sample
             cars.update(client_cars)

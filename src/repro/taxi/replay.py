@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.geo.latlon import LatLon
 from repro.api.models import CarView, PingReply, TypeStatus
-from repro.api.ping import PingServer
+from repro.api.ping import PingRequest, PingServer
 from repro.marketplace.types import CarType
 from repro.taxi.trace import TripRecord
 
@@ -139,8 +139,9 @@ class TaxiReplayServer(PingServer):
     """Replays a trace behind the `pingClient` interface.
 
     The replayer owns its clock; the measurement fleet advances it via
-    :meth:`advance`.  Position snapshots are vectorized per timestep so a
-    172-client fleet stays tractable.
+    :meth:`advance`.  What it serves is a function of that clock alone:
+    the segments are kept as numpy columns, and each lock-step round
+    reads the cabs visible now straight from them.
     """
 
     def __init__(
@@ -153,20 +154,21 @@ class TaxiReplayServer(PingServer):
         self.segments = build_segments(trips, seed=seed)
         self.speed_mps = speed_mps
         self.nearest_k = nearest_k
-        self._trips = list(trips)
         self._now = 0.0
-        self._next_idx = 0  # next segment (by start time) to activate
-        self._active: Dict[int, AvailabilitySegment] = {}
-        self._snapshot_time: Optional[float] = None
-        self._snap_lat: Optional[np.ndarray] = None
-        self._snap_lon: Optional[np.ndarray] = None
-        self._snap_segments: List[AvailabilitySegment] = []
-        if self._trips:
-            mean_lat = sum(t.pickup.lat for t in self._trips) / len(
-                self._trips
-            )
-        else:
-            mean_lat = 0.0
+        self._tokens = [seg.token for seg in self.segments]
+        #: One row per segment field, one column per segment: start and
+        #: end time, then start and end lat/lon.
+        self._columns = np.array(
+            [
+                (seg.start_s, seg.end_s, seg.start_loc.lat,
+                 seg.start_loc.lon, seg.end_loc.lat, seg.end_loc.lon)
+                for seg in self.segments
+            ],
+            dtype=float,
+        ).reshape(-1, 6).T.copy()
+        mean_lat = (
+            sum(t.pickup.lat for t in trips) / len(trips) if trips else 0.0
+        )
         self._deg_lon_m = _DEG_LAT_M * np.cos(np.radians(mean_lat))
 
     # ------------------------------------------------------------------
@@ -184,53 +186,12 @@ class TaxiReplayServer(PingServer):
         if dt < 0:
             raise ValueError("the replay clock cannot run backwards")
         self._now += dt
-        self._refresh_active()
 
     def seek(self, t: float) -> None:
         """Jump forward to absolute time *t*."""
         if t < self._now:
             raise ValueError("the replay clock cannot run backwards")
         self._now = t
-        self._refresh_active()
-
-    def _refresh_active(self) -> None:
-        now = self._now
-        while (
-            self._next_idx < len(self.segments)
-            and self.segments[self._next_idx].start_s <= now
-        ):
-            seg = self.segments[self._next_idx]
-            if seg.end_s > now:
-                self._active[id(seg)] = seg
-            self._next_idx += 1
-        dead = [key for key, seg in self._active.items() if seg.end_s <= now]
-        for key in dead:
-            del self._active[key]
-        self._snapshot_time = None
-
-    def _ensure_snapshot(self) -> None:
-        if self._snapshot_time == self._now:
-            return
-        segs = list(self._active.values())
-        self._snap_segments = segs
-        n = len(segs)
-        lats = np.empty(n)
-        lons = np.empty(n)
-        now = self._now
-        for i, seg in enumerate(segs):
-            span = seg.end_s - seg.start_s
-            frac = 0.0 if span <= 0 else (now - seg.start_s) / span
-            lats[i] = (
-                seg.start_loc.lat
-                + (seg.end_loc.lat - seg.start_loc.lat) * frac
-            )
-            lons[i] = (
-                seg.start_loc.lon
-                + (seg.end_loc.lon - seg.start_loc.lon) * frac
-            )
-        self._snap_lat = lats
-        self._snap_lon = lons
-        self._snapshot_time = now
 
     # ------------------------------------------------------------------
     # pingClient
@@ -241,48 +202,72 @@ class TaxiReplayServer(PingServer):
         location: LatLon,
         car_types: Optional[Sequence[CarType]] = None,
     ) -> PingReply:
-        self._ensure_snapshot()
-        assert self._snap_lat is not None and self._snap_lon is not None
-        n = len(self._snap_segments)
-        cars: Tuple[CarView, ...] = ()
-        ewt: Optional[float] = None
-        if n > 0:
-            k = min(self.nearest_k, n)
-            dy = (self._snap_lat - location.lat) * _DEG_LAT_M
-            dx = (self._snap_lon - location.lon) * self._deg_lon_m
+        """Answer one ping as a round of one."""
+        return self.serve_round([(account_id, location, car_types)])[0]
+
+    def serve_round(
+        self, requests: Sequence[PingRequest]
+    ) -> List[PingReply]:
+        """One vectorized pass over a whole lock-step round.
+
+        The cabs visible now are one mask over the segment columns, and
+        their positions one interpolation with
+        :meth:`AvailabilitySegment.position_at`'s arithmetic (a visible
+        segment has ``start_s <= now < end_s``, so its span is
+        positive).  One clients x cabs matrix of squared planar
+        distances is sorted per row; the sort is stable, so co-located
+        cabs come back in segment order, and the EWT is read off each
+        row's nearest cab.  Every reply is a single ``UBERT`` status:
+        ordinary taxis never surge.
+        """
+        now = self._now
+        start_s, end_s = self._columns[:2]
+        visible = np.flatnonzero((start_s <= now) & (now < end_s))
+        cars: List[Tuple[CarView, ...]] = [()] * len(requests)
+        ewts: List[Optional[float]] = [None] * len(requests)
+        if requests and len(visible):
+            s0, s1, lat0, lon0, lat1, lon1 = self._columns[:, visible]
+            frac = (now - s0) / (s1 - s0)
+            lat = lat0 + (lat1 - lat0) * frac
+            lon = lon0 + (lon1 - lon0) * frac
+            where = np.array([(loc.lat, loc.lon) for _, loc, _ in requests])
+            dy = (lat - where[:, :1]) * _DEG_LAT_M
+            dx = (lon - where[:, 1:]) * self._deg_lon_m
             dist2 = dx * dx + dy * dy
-            # lexsort, not argpartition: ties (co-located cabs) break by
-            # segment index, so the IDs a client observes never hang on
-            # how a partial sort orders equal distances.
-            idx = np.lexsort((np.arange(n), dist2))[:k]
-            order = [int(i) for i in idx]
-            nearest2 = float(dist2[order[0]])
-            views = []
-            for i in order:
-                seg = self._snap_segments[i]
-                pos = LatLon(
-                    float(self._snap_lat[i]),
-                    float(self._snap_lon[i]),
+            order = np.argsort(dist2, axis=1, kind="stable")[
+                :, : self.nearest_k
+            ]
+            # The clock does not move within a round, so each served
+            # cab's view is built once and shared by every reply.
+            views: Dict[int, CarView] = {}
+            for i in np.unique(order).tolist():
+                pos = LatLon(float(lat[i]), float(lon[i]))
+                views[i] = CarView(
+                    car_id=self._tokens[visible[i]],
+                    location=pos,
+                    path=((now, pos.lat, pos.lon),),
                 )
-                views.append(
-                    CarView(
-                        car_id=seg.token,
-                        location=pos,
-                        path=((self._now, pos.lat, pos.lon),),
-                    )
-                )
-            cars = tuple(views)
-            nearest_m = math.sqrt(nearest2)
-            ewt = max(1.0, nearest_m / self.speed_mps / 60.0)
-        status = TypeStatus(
-            car_type=CarType.UBERT,
-            cars=cars,
-            ewt_minutes=ewt,
-            surge_multiplier=1.0,  # ordinary taxis never surge
-        )
-        return PingReply(
-            timestamp=self._now, location=location, statuses=(status,)
-        )
+            nearest2 = dist2[np.arange(len(requests)), order[:, 0]]
+            for r, (row, d2) in enumerate(
+                zip(order.tolist(), nearest2.tolist())
+            ):
+                cars[r] = tuple(views[i] for i in row)
+                ewts[r] = max(1.0, math.sqrt(d2) / self.speed_mps / 60.0)
+        return [
+            PingReply(
+                timestamp=now,
+                location=location,
+                statuses=(
+                    TypeStatus(
+                        car_type=CarType.UBERT,
+                        cars=served,
+                        ewt_minutes=ewt,
+                        surge_multiplier=1.0,
+                    ),
+                ),
+            )
+            for (_, location, _), served, ewt in zip(requests, cars, ewts)
+        ]
 
     # ------------------------------------------------------------------
     # Ground truth

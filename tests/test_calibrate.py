@@ -35,6 +35,24 @@ class TestDeterminism:
         assert report.passed, report.detail
         assert report.rounds == 20
 
+    def test_jittered_world_diverges_where_it_always_did(self):
+        # Jitter is drawn per account, so where the check first fails
+        # pins the calibration clients' account IDs (cal00, cal01, ...)
+        # and their order within a round.
+        engine = MarketplaceEngine(
+            toy_config(jitter_probability=0.25), seed=7
+        )
+        engine.run(1200.0)
+        center = engine.config.region.bounding_box.center
+        report = check_determinism(
+            MarketplaceWorld(engine), center, n_clients=20, rounds=20
+        )
+        assert not report.passed
+        assert report.rounds == 11
+        assert report.detail.startswith(
+            "client 19 diverged from client 0 in round 10: "
+        )
+
 
 class TestSurgeImpact:
     def test_fleet_does_not_induce_surge(self, quiet_world):

@@ -95,6 +95,24 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate", "--bogus", "x"],
+            ["measure", "--out", "x.jsonl", "--bogus"],
+            ["tracestats", "a.csv", "b.csv"],
+        ],
+        ids=["calibrate", "measure", "tracestats-extra-positional"],
+    )
+    def test_unknown_arguments_are_usage_errors(self, argv, capsys):
+        """Only `lint` hands the rest of its command line on (to
+        repro.devtools.lint); every other subcommand rejects what it
+        does not know before doing any work."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
+
     def test_serve_defaults_parse(self):
         args = build_parser().parse_args(["serve"])
         assert (args.city, args.hour, args.seed, args.jitter) == (
@@ -339,6 +357,14 @@ class TestLintCommand:
         rc = main(["lint", "--json", "--format", "sarif", str(clean)])
         assert rc == 2
         assert "conflicts" in capsys.readouterr().err
+
+    def test_help_lists_the_lint_options(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro lint")
+        assert "--show-suppressed" in out and "--explain" in out
 
     def test_concurrency_finding_via_cli(self, tmp_path, capsys):
         dirty = tmp_path / "spawn.py"

@@ -106,17 +106,26 @@ class TestMeasurementClient:
         client.walk_to(target)
         assert client.location == target
 
-    def test_observe_digests_reply(self, mini_campaign):
+    def test_absorb_digests_reply(self, mini_campaign):
         engine, _, _ = mini_campaign
         from repro.api.ping import PingEndpoint
         client = MeasurementClient(
             "solo", engine.config.region.bounding_box.center,
             [CarType.UBERX],
         )
-        samples, cars = client.observe(PingEndpoint(engine))
-        assert CarType.UBERX in samples
+        reply = PingEndpoint(engine).ping(
+            client.client_id, client.location, client.car_types
+        )
+        samples, cars = client.absorb(reply)
+        assert list(samples) == [CarType.UBERX]
         sample = samples[CarType.UBERX]
-        assert set(sample.car_ids) == set(cars)
+        status = reply.status_for(CarType.UBERX)
+        assert sample.car_ids == tuple(c.car_id for c in status.cars)
+        assert sample.ewt_minutes == status.ewt_minutes
+        assert sample.multiplier == status.surge_multiplier
+        assert cars == {
+            c.car_id: (c.location.lat, c.location.lon) for c in status.cars
+        }
         assert client.pings_sent == 1
 
 

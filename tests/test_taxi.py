@@ -1,9 +1,12 @@
 """Tests for the taxi substrate: trace model, generator, replayer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo.latlon import LatLon
 from repro.geo.regions import midtown_manhattan
+from repro.api.models import TypeStatus
 from repro.marketplace.types import CarType
 from repro.taxi.generator import TaxiGeneratorParams, TaxiTraceGenerator
 from repro.taxi.replay import (
@@ -185,3 +188,97 @@ class TestReplayServer:
     def test_seek_backwards_rejected(self, server):
         with pytest.raises(ValueError):
             server.seek(0.0)
+
+
+@pytest.fixture(scope="module")
+def day_trips():
+    gen = TaxiTraceGenerator(
+        TaxiGeneratorParams(fleet_size=80, days=0.6), seed=9
+    )
+    return gen.generate()
+
+
+class TestReplayRounds:
+    """``serve_round`` answers a round from the segment columns."""
+
+    REQUESTS = [
+        ("a", P2, None),
+        ("b", P1, [CarType.UBERT]),
+        ("c", LatLon(40.770, -73.970), None),
+        ("d", P2, None),
+    ]
+
+    def test_co_located_cabs_come_back_in_segment_order(self):
+        # Twenty parked cabs, alternately at the client and 700 m away,
+        # all available over the same stretch: the ten at the client tie
+        # at distance 0, and an unstable sort reorders them.
+        far = P3
+        trips = []
+        for medallion in range(20):
+            spot = P2 if medallion % 2 else far
+            trips += [
+                trip(medallion, 0.0, 100.0, P1, spot),
+                trip(medallion, 1000.0, 1100.0, spot, P1),
+            ]
+        server = TaxiReplayServer(trips, seed=4)
+        server.seek(500.0)
+        status = server.ping("acct", P2).status_for(CarType.UBERT)
+        tokens = [seg.token for seg in server.segments]
+        assert [c.car_id for c in status.cars] == tokens[1:17:2]
+        assert all(c.location == P2 for c in status.cars)
+        assert status.ewt_minutes == 1.0
+        # Visibility is half open: a cab leaves the map at its next
+        # pickup.
+        server.seek(1000.0)
+        assert server.ping("acct", P2).statuses == (
+            TypeStatus(CarType.UBERT, (), None, 1.0),
+        )
+
+    def test_batch_equals_each_request_alone(self, day_trips):
+        server = TaxiReplayServer(day_trips, seed=9)
+        # Before the first segment starts no cab is visible.
+        server.seek(server.segments[0].start_s / 2)
+        for t in (None, 9 * 3600.0, 12 * 3600.0 + 2.5):
+            if t is not None:
+                server.seek(t)
+            batched = server.serve_round(self.REQUESTS)
+            alone = [server.serve_round([r])[0] for r in self.REQUESTS]
+            assert batched == alone
+            assert batched == [server.ping(*r) for r in self.REQUESTS]
+            statuses = [reply.statuses for reply in batched]
+            if t is None:
+                assert all(
+                    s == (TypeStatus(CarType.UBERT, (), None, 1.0),)
+                    for s in statuses
+                )
+            else:
+                assert all(len(s[0].cars) == 8 for s in statuses)
+        assert server.serve_round([]) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        times=st.lists(
+            st.floats(min_value=0.0, max_value=0.6 * 86_400.0),
+            min_size=1, max_size=4,
+        ),
+        north_m=st.floats(min_value=-2000.0, max_value=2000.0),
+        east_m=st.floats(min_value=-2000.0, max_value=2000.0),
+    )
+    def test_served_cabs_sit_on_their_segments(
+        self, day_trips, times, north_m, east_m
+    ):
+        server = TaxiReplayServer(day_trips, seed=9)
+        by_token = {seg.token: seg for seg in server.segments}
+        where = P2.offset(north_m, east_m)
+        for t in sorted(times):
+            server.seek(t)
+            replies = server.serve_round(
+                [("x", where, None), ("y", P1, None)]
+            )
+            for reply in replies:
+                for car in reply.statuses[0].cars:
+                    seg = by_token[car.car_id]
+                    assert seg.start_s <= t < seg.end_s
+                    assert car.location == seg.position_at(t)
+                    assert car.path == ((t, car.location.lat,
+                                         car.location.lon),)
