@@ -6,8 +6,9 @@ production servers; the deployed price-comparison apps (arXiv
 1701.04208) faced the same transport edges at app-store scale.  This
 bench measures our transport the same way: N simulated WebSocket
 clients over **real localhost sockets**, each running its own
-ping/await-reply loop against :class:`repro.service.AsgiHttpServer`,
-plus a REST leg exercising the HTTP path (including 429s).
+ping/await-reply loop against :class:`repro.service.HttpServer` (the
+server ``repro serve`` runs), plus a REST leg exercising the HTTP path
+(including 429s).
 
 Reported per leg: sustained replies/s over the measured window and
 per-request latency p50/p99.  The 100- and 1k-client legs carry
@@ -41,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.api.ratelimit import RateLimiter
 from repro.marketplace.config import sf_config
 from repro.marketplace.engine import MarketplaceEngine
-from repro.service import AsgiHttpServer, MarketplaceService
+from repro.service import HttpServer, MarketplaceService
 from repro.service.loadgen import WebSocketClient, http_get
 
 from _shared import OUT_DIR
@@ -84,7 +85,7 @@ class _ServerThread:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        server = AsgiHttpServer(self.service, port=0)
+        server = HttpServer(self.service, port=0)
         await server.start()
         self.port = server.port
         self._ready.set()

@@ -364,7 +364,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.api.ratelimit import RateLimiter
-    from repro.service import AsgiHttpServer, MarketplaceService
+    from repro.service import HttpServer, MarketplaceService
 
     config = city_config(args.city, args.jitter)
     engine = MarketplaceEngine(config, seed=args.seed)
@@ -380,7 +380,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _serve() -> None:
-        server = AsgiHttpServer(service, host=args.host, port=args.port)
+        server = HttpServer(service, host=args.host, port=args.port)
         await server.start()
         print(f"serving {args.city} (seed {args.seed}, "
               f"t={engine.clock.now:g}s) on "

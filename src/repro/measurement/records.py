@@ -142,13 +142,13 @@ class CampaignLog:
         :class:`ValueError` naming the offending line — silent data loss
         would corrupt every downstream figure.  With ``strict=False``,
         damaged *round* lines are skipped (a truncated final line is the
-        common artefact of an interrupted campaign) and the log loads
-        with whatever rounds survive; a damaged header is always fatal.
+        common artefact of an interrupted campaign, and a ``.gz`` log
+        cut short ends at its last whole round) and the log loads with
+        whatever rounds survive; a damaged header is always fatal.
         """
         with cls._open(path, "r") as f:
-            header_line = f.readline()
             try:
-                header = json.loads(header_line)
+                header = json.loads(f.readline())
                 log = cls(
                     city=header["city"],
                     client_positions={
@@ -157,35 +157,48 @@ class CampaignLog:
                     },
                     ping_interval_s=header["ping_interval_s"],
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (EOFError, json.JSONDecodeError, KeyError,
+                    TypeError) as exc:
                 raise ValueError(
                     f"{path}: not a campaign log (bad header): {exc}"
                 ) from exc
-            for line_no, line in enumerate(f, start=2):
-                try:
-                    row = json.loads(line)
-                    samples = {
-                        (cid, CarType(ct)): ClientSample(
-                            multiplier=mult,
-                            ewt_minutes=ewt,
-                            car_ids=tuple(ids),
-                        )
-                        for cid, ct, mult, ewt, ids in row["samples"]
-                    }
-                    cars = {
-                        car_id: (lat, lon)
-                        for car_id, (lat, lon) in row["cars"].items()
-                    }
-                    record = RoundRecord(
-                        t=row["t"], samples=samples, cars=cars
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError) as exc:
-                    if strict:
-                        raise ValueError(
-                            f"{path}: corrupt round at line {line_no}: "
-                            f"{exc}"
-                        ) from exc
-                    continue
-                log.rounds.append(record)
+            line_no = 1
+            try:
+                for line_no, line in enumerate(f, start=2):
+                    try:
+                        log.rounds.append(_round_from_line(line))
+                    except (json.JSONDecodeError, KeyError, TypeError,
+                            ValueError) as exc:
+                        if strict:
+                            raise ValueError(
+                                f"{path}: corrupt round at line "
+                                f"{line_no}: {exc}"
+                            ) from exc
+            except EOFError as exc:
+                # A gzip stream cut short raises here, once every line
+                # it could decompress before the cut has been read.
+                if strict:
+                    raise ValueError(
+                        f"{path}: log ends mid-stream after line "
+                        f"{line_no}: {exc}"
+                    ) from exc
         return log
+
+
+def _round_from_line(line: str) -> RoundRecord:
+    """One round line of a saved log, as :meth:`CampaignLog.save`
+    writes it."""
+    row = json.loads(line)
+    samples = {
+        (cid, CarType(ct)): ClientSample(
+            multiplier=mult,
+            ewt_minutes=ewt,
+            car_ids=tuple(ids),
+        )
+        for cid, ct, mult, ewt, ids in row["samples"]
+    }
+    cars = {
+        car_id: (lat, lon)
+        for car_id, (lat, lon) in row["cars"].items()
+    }
+    return RoundRecord(t=row["t"], samples=samples, cars=cars)

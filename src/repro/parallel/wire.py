@@ -3,7 +3,7 @@
 Length-prefixed canonical-JSON frames: a 4-byte big-endian length
 header followed by the message body encoded with
 :func:`repro.api.serialize.canonical_json` — the same byte encoding
-the ASGI service uses, so a :class:`CampaignOutcome` that crossed the
+the socket service uses, so a :class:`CampaignOutcome` that crossed the
 wire hashes identically to one produced in-process.
 
 Message vocabulary (all frames are JSON objects with a ``type`` key):

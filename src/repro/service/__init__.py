@@ -5,18 +5,18 @@ The paper's apparatus is network clients talking to Uber's servers:
 the rate-limited REST developer API (§3.2-3.3).  This package is that
 transport for the reproduction:
 
-* :class:`MarketplaceService` — the ASGI app (REST estimates + the
-  `pingClient` WebSocket stream, HTTP 429 + ``Retry-After`` at the
-  transport edge);
+* :class:`MarketplaceService` — the REST estimates and the `pingClient`
+  stream: ``respond(method, target)`` answers one HTTP request (HTTP
+  429 + ``Retry-After`` for an over-budget account) and
+  ``answer(text)`` one ping message;
 * :class:`RoundAccumulator` — coalesces concurrent pings into
   lock-step rounds served by one vectorized
   ``PingServer.serve_round`` pass;
-* :class:`AsgiHttpServer` — stdlib asyncio HTTP/1.1 + RFC 6455
-  WebSocket server (no third-party framework on the image);
-* :class:`AsgiTestClient` — in-process ASGI driver so tier-1 verifies
-  the transport contract without sockets;
-* :mod:`repro.service.loadgen` — the socket-side client used by
-  ``benchmarks/bench_api_service.py``.
+* :class:`HttpServer` — stdlib asyncio HTTP/1.1 + RFC 6455 WebSocket
+  server that frames bytes around the service's two methods (no
+  third-party framework on the image);
+* :mod:`repro.service.loadgen` — the socket-side client used by the
+  socket tests and ``benchmarks/bench_api_service.py``.
 
 Contract: every payload uses the canonical encoding of
 :mod:`repro.api.serialize`, and the service must stay **byte-identical**
@@ -24,14 +24,13 @@ to encoding the in-process ``PingEndpoint``/``RestApi`` results
 directly — the bit-identity discipline extended across the wire.
 """
 
-from repro.service.app import MarketplaceService
-from repro.service.http import AsgiHttpServer
+from repro.service.app import MarketplaceService, Response
+from repro.service.http import HttpServer
 from repro.service.rounds import RoundAccumulator
-from repro.service.testclient import AsgiTestClient
 
 __all__ = [
-    "AsgiHttpServer",
-    "AsgiTestClient",
+    "HttpServer",
     "MarketplaceService",
+    "Response",
     "RoundAccumulator",
 ]

@@ -1,4 +1,4 @@
-"""The marketplace as an ASGI application.
+"""The marketplace service: one HTTP request or one ping message.
 
 Routes (all bodies in the canonical encoding of
 :mod:`repro.api.serialize`, so service payloads are byte-identical to
@@ -16,35 +16,27 @@ encoding the in-process results directly):
   canonical ``PingReply`` body.  Like the production endpoint, the ping
   stream is **never rate limited** (§3.2); concurrent pings coalesce
   into lock-step rounds (:class:`repro.service.rounds.RoundAccumulator`)
-  served by one vectorized ``serve_round`` pass.
+  served by one vectorized ``serve_round`` pass.  A plain ``GET`` of
+  the stream is answered 426.
 
 Rate limiting is enforced *at the transport*: a
 :class:`~repro.api.ratelimit.RateLimitExceeded` becomes HTTP 429 with a
 ``Retry-After`` header carrying the whole-second, rounded-up wait.
 
-The app is plain ASGI (http + websocket + lifespan scopes) with no
-framework dependency; it runs under the stdlib server in
-:mod:`repro.service.http`, the in-process test client in
-:mod:`repro.service.testclient`, or any third-party ASGI server.
+:meth:`MarketplaceService.respond` answers one HTTP request and
+:meth:`MarketplaceService.answer` one message of the ping stream; the
+socket server in :mod:`repro.service.http` frames bytes around the
+two, and tests call them in process.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import (
-    Any,
-    Awaitable,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import parse_qs
 
-from repro.api.ping import PingEndpoint
+from repro.api.ping import PingEndpoint, PingRequest
 from repro.api.ratelimit import RateLimiter, RateLimitExceeded
 from repro.api.rest import RestApi
 from repro.api import serialize
@@ -53,12 +45,41 @@ from repro.marketplace.types import CarType
 from repro.geo.latlon import LatLon
 from repro.service.rounds import RoundAccumulator
 
-Scope = Dict[str, Any]
-Message = Dict[str, Any]
-Receive = Callable[[], Awaitable[Message]]
-Send = Callable[[Message], Awaitable[None]]
+#: The one WebSocket route: the `pingClient` stream.
+PING_PATH = "/v1/ping"
 
-_JSON_HEADER: Tuple[bytes, bytes] = (b"content-type", b"application/json")
+_REST_PATHS = frozenset(
+    ("/v1/health", "/v1/estimates/price", "/v1/estimates/time", "/v1/surge")
+)
+
+_JSON_HEADER: Tuple[str, str] = ("content-type", "application/json")
+
+
+class Response(NamedTuple):
+    """One HTTP answer; every body is JSON."""
+
+    status: int
+    body: bytes
+    headers: Tuple[Tuple[str, str], ...] = (_JSON_HEADER,)
+
+
+def error_response(status: int, error: str, detail: str) -> Response:
+    """*status* with the uniform ``{"error", "detail"}`` body."""
+    return Response(
+        status,
+        serialize.canonical_json(serialize.error_payload(error, detail)),
+    )
+
+
+#: The answer to a plain request for the ping stream; a 426 names the
+#: protocol to upgrade to (RFC 7231 §6.5.15).
+_UPGRADE_REQUIRED = Response(
+    426,
+    serialize.canonical_json(serialize.error_payload(
+        "upgrade_required", f"{PING_PATH!r} only accepts WebSocket upgrades"
+    )),
+    (_JSON_HEADER, ("upgrade", "websocket")),
+)
 
 
 class _BadRequest(Exception):
@@ -73,13 +94,10 @@ class _BadRequest(Exception):
         self.error = error
 
 
-def _params(scope: Scope) -> Dict[str, str]:
+def _params(query: str) -> Dict[str, str]:
     """Query parameters, last value winning (the REST API takes one of
     each; repeating a parameter is not an error, just overriding)."""
-    raw = parse_qs(
-        scope.get("query_string", b"").decode("utf-8", "replace"),
-        keep_blank_values=True,
-    )
+    raw = parse_qs(query, keep_blank_values=True)
     return {key: values[-1] for key, values in raw.items()}
 
 
@@ -133,8 +151,55 @@ def _car_types(
         raise _BadRequest(str(exc)) from None
 
 
+def _ping_request(text: str) -> PingRequest:
+    """The ping one stream message asks for, or a 400 naming what is
+    wrong with it."""
+    try:
+        body = json.loads(text)
+    except ValueError:
+        raise _BadRequest("ping message is not valid JSON") from None
+    if not isinstance(body, dict):
+        raise _BadRequest("ping message must be a JSON object")
+    try:
+        account_id = body["account_id"]
+        lat = body["lat"]
+        lon = body["lon"]
+    except KeyError as exc:
+        raise _BadRequest(
+            f"ping message missing {exc.args[0]!r}"
+        ) from None
+    if not isinstance(account_id, str):
+        raise _BadRequest("account_id must be a string")
+    if not isinstance(lat, (int, float)) or isinstance(lat, bool):
+        raise _BadRequest("lat must be a number")
+    if not isinstance(lon, (int, float)) or isinstance(lon, bool):
+        raise _BadRequest("lon must be a number")
+    raw_types = body.get("car_types")
+    car_types: Optional[List[CarType]] = None
+    if raw_types is not None:
+        if not isinstance(raw_types, list):
+            raise _BadRequest("car_types must be a list or null")
+        car_types = []
+        for token in raw_types:
+            try:
+                car_types.append(CarType(token))
+            except ValueError:
+                raise _BadRequest(
+                    f"unknown car type {token!r}"
+                ) from None
+    try:
+        location = LatLon(float(lat), float(lon))
+    except (ValueError, OverflowError):
+        # Name the coordinate that is off the globe, NaN or too large
+        # for a float; a valid ping skips these checks.
+        _degrees("lat", lat, 90.0)
+        _degrees("lon", lon, 180.0)
+        raise
+    return account_id, location, car_types
+
+
 class MarketplaceService:
-    """ASGI app serving one marketplace engine snapshot.
+    """The REST routes and the ping stream over one marketplace engine.
 
     The engine is not ticked by the service: requests observe one
     simulated instant, which is exactly what makes transport replies
@@ -160,46 +225,14 @@ class MarketplaceService:
         )
         self.city = city
 
-    # ------------------------------------------------------------------
-    # ASGI entry point
-    # ------------------------------------------------------------------
-    async def __call__(
-        self, scope: Scope, receive: Receive, send: Send
-    ) -> None:
-        kind = scope["type"]
-        if kind == "lifespan":
-            await self._lifespan(receive, send)
-        elif kind == "http":
-            await self._http(scope, receive, send)
-        elif kind == "websocket":
-            await self._websocket(scope, receive, send)
-        else:  # pragma: no cover - unknown scope from an exotic server
-            raise RuntimeError(f"unsupported ASGI scope {kind!r}")
-
-    async def _lifespan(self, receive: Receive, send: Send) -> None:
-        while True:
-            message = await receive()
-            if message["type"] == "lifespan.startup":
-                await send({"type": "lifespan.startup.complete"})
-            elif message["type"] == "lifespan.shutdown":
-                await send({"type": "lifespan.shutdown.complete"})
-                return
-
-    # ------------------------------------------------------------------
-    # HTTP: the REST estimates endpoints
-    # ------------------------------------------------------------------
-    async def _http(
-        self, scope: Scope, receive: Receive, send: Send
-    ) -> None:
-        path = scope["path"]
-        method = scope["method"]
+    def respond(self, method: str, target: str) -> Response:
+        """The answer to one HTTP request for *target* (path and
+        query string)."""
+        path, _, query = target.partition("?")
         try:
-            if path not in (
-                "/v1/health",
-                "/v1/estimates/price",
-                "/v1/estimates/time",
-                "/v1/surge",
-            ):
+            if path == PING_PATH:
+                return _UPGRADE_REQUIRED
+            if path not in _REST_PATHS:
                 raise _BadRequest(
                     f"no such endpoint {path!r}", 404, "not_found"
                 )
@@ -209,32 +242,18 @@ class MarketplaceService:
                     405,
                     "method_not_allowed",
                 )
-            body = self._dispatch(path, _params(scope))
+            body = self._dispatch(path, _params(query))
         except RateLimitExceeded as exc:
-            await _respond(
-                send,
+            return Response(
                 429,
                 serialize.canonical_json(
                     serialize.rate_limited_payload(exc)
                 ),
-                extra_headers=[
-                    (
-                        b"retry-after",
-                        str(exc.retry_after_hint_s).encode("ascii"),
-                    )
-                ],
+                (_JSON_HEADER, ("retry-after", str(exc.retry_after_hint_s))),
             )
-            return
         except _BadRequest as exc:
-            await _respond(
-                send,
-                exc.status,
-                serialize.canonical_json(
-                    serialize.error_payload(exc.error, exc.detail)
-                ),
-            )
-            return
-        await _respond(send, 200, body)
+            return error_response(exc.status, exc.error, exc.detail)
+        return Response(200, body)
 
     def _dispatch(self, path: str, params: Dict[str, str]) -> bytes:
         if path == "/v1/health":
@@ -276,104 +295,13 @@ class MarketplaceService:
         )
         return serialize.encode_surge(car_type, multiplier)
 
-    # ------------------------------------------------------------------
-    # WebSocket: the pingClient stream
-    # ------------------------------------------------------------------
-    async def _websocket(
-        self, scope: Scope, receive: Receive, send: Send
-    ) -> None:
-        message = await receive()
-        if message["type"] != "websocket.connect":  # pragma: no cover
-            return
-        if scope["path"] != "/v1/ping":
-            await send({"type": "websocket.close", "code": 4404})
-            return
-        await send({"type": "websocket.accept"})
-        while True:
-            message = await receive()
-            if message["type"] == "websocket.disconnect":
-                return
-            if message["type"] != "websocket.receive":  # pragma: no cover
-                continue
-            text = message.get("text")
-            if text is None:
-                raw = message.get("bytes") or b""
-                text = raw.decode("utf-8", "replace")
-            try:
-                reply_bytes = await self._serve_ping(text)
-            except _BadRequest as exc:
-                reply_bytes = serialize.canonical_json(
-                    serialize.error_payload(exc.error, exc.detail)
-                )
-            await send(
-                {
-                    "type": "websocket.send",
-                    "text": reply_bytes.decode("utf-8"),
-                }
-            )
-
-    async def _serve_ping(self, text: str) -> bytes:
+    async def answer(self, text: str) -> bytes:
+        """The reply to one ping-stream message: a canonical
+        ``PingReply`` body once the ping's round is served, or an
+        error body naming what is wrong with *text*."""
         try:
-            body = json.loads(text)
-        except ValueError:
-            raise _BadRequest("ping message is not valid JSON") from None
-        if not isinstance(body, dict):
-            raise _BadRequest("ping message must be a JSON object")
-        try:
-            account_id = body["account_id"]
-            lat = body["lat"]
-            lon = body["lon"]
-        except KeyError as exc:
-            raise _BadRequest(
-                f"ping message missing {exc.args[0]!r}"
-            ) from None
-        if not isinstance(account_id, str):
-            raise _BadRequest("account_id must be a string")
-        if not isinstance(lat, (int, float)) or isinstance(lat, bool):
-            raise _BadRequest("lat must be a number")
-        if not isinstance(lon, (int, float)) or isinstance(lon, bool):
-            raise _BadRequest("lon must be a number")
-        raw_types = body.get("car_types")
-        car_types: Optional[List[CarType]] = None
-        if raw_types is not None:
-            if not isinstance(raw_types, list):
-                raise _BadRequest("car_types must be a list or null")
-            car_types = []
-            for token in raw_types:
-                try:
-                    car_types.append(CarType(token))
-                except ValueError:
-                    raise _BadRequest(
-                        f"unknown car type {token!r}"
-                    ) from None
-        try:
-            location = LatLon(float(lat), float(lon))
-        except (ValueError, OverflowError):
-            # Name the coordinate that is off the globe, NaN or too
-            # large for a float; a valid ping skips these checks.
-            _degrees("lat", lat, 90.0)
-            _degrees("lon", lon, 180.0)
-            raise
-        reply = await self.rounds.submit((account_id, location, car_types))
+            request = _ping_request(text)
+        except _BadRequest as exc:
+            return error_response(exc.status, exc.error, exc.detail).body
+        reply = await self.rounds.submit(request)
         return serialize.encode_ping_reply(reply)
-
-
-async def _respond(
-    send: Send,
-    status: int,
-    body: bytes,
-    extra_headers: Optional[List[Tuple[bytes, bytes]]] = None,
-) -> None:
-    headers = [_JSON_HEADER]
-    if extra_headers:
-        headers.extend(extra_headers)
-    await send(
-        {
-            "type": "http.response.start",
-            "status": status,
-            "headers": headers,
-        }
-    )
-    await send(
-        {"type": "http.response.body", "body": body, "more_body": False}
-    )

@@ -1,4 +1,4 @@
-"""A stdlib asyncio HTTP/1.1 + WebSocket server for ASGI apps.
+"""A stdlib asyncio HTTP/1.1 + WebSocket server for the marketplace.
 
 The measurement environment ships no HTTP framework (no aiohttp /
 uvicorn / websockets), so the transport is built directly on
@@ -9,10 +9,9 @@ subset the marketplace service uses — GET requests with query strings,
 JSON bodies, and text-frame WebSocket sessions — which is also exactly
 what the paper's measurement clients generated against production Uber.
 
-The server is deliberately app-agnostic: it drives any ASGI 3 callable,
-so the service app is testable without sockets (see
-:mod:`repro.service.testclient`) and servable with a third-party ASGI
-server where one exists.
+The server only frames bytes: each HTTP request is answered by
+:meth:`MarketplaceService.respond`, and each message of the ping
+stream by :meth:`MarketplaceService.answer`.
 """
 
 from __future__ import annotations
@@ -20,19 +19,14 @@ from __future__ import annotations
 import asyncio
 import base64
 import hashlib
-import json
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-Scope = Dict[str, Any]
-Message = Dict[str, Any]
-AsgiApp = Callable[
-    [
-        Scope,
-        Callable[[], Awaitable[Message]],
-        Callable[[Message], Awaitable[None]],
-    ],
-    Awaitable[None],
-]
+from repro.service.app import (
+    PING_PATH,
+    MarketplaceService,
+    Response,
+    error_response,
+)
 
 #: RFC 6455 §1.3 handshake GUID.
 _WS_GUID = b"258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -51,6 +45,7 @@ MAX_HEAD_BYTES = 64 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
+#: Every status the server sends (101 aside, written by the handshake).
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -63,10 +58,14 @@ _REASONS = {
 }
 
 
-class _Request:
-    """One parsed HTTP request head (+ body)."""
+class _HeadTooLarge(ValueError):
+    """A request head over :data:`MAX_HEAD_BYTES` (answered 431)."""
 
-    __slots__ = ("method", "target", "version", "headers", "body")
+
+class _Request:
+    """One parsed HTTP request head (its body is read and dropped)."""
+
+    __slots__ = ("method", "target", "version", "headers")
 
     def __init__(
         self,
@@ -74,23 +73,15 @@ class _Request:
         target: str,
         version: str,
         headers: Dict[str, str],
-        body: bytes,
     ) -> None:
         self.method = method
         self.target = target
         self.version = version
         self.headers = headers
-        self.body = body
 
     @property
     def path(self) -> str:
         return self.target.split("?", 1)[0]
-
-    @property
-    def query_string(self) -> bytes:
-        if "?" in self.target:
-            return self.target.split("?", 1)[1].encode("utf-8")
-        return b""
 
     def wants_websocket(self) -> bool:
         return (
@@ -117,9 +108,9 @@ async def _read_request(
             raise ValueError("truncated request head") from None
         return None
     except asyncio.LimitOverrunError:
-        raise ValueError("request head too large") from None
+        raise _HeadTooLarge("request head too large") from None
     if len(head) > MAX_HEAD_BYTES:
-        raise ValueError("request head too large")
+        raise _HeadTooLarge("request head too large")
     lines = head.decode("latin-1").split("\r\n")
     try:
         method, target, version = lines[0].split(" ", 2)
@@ -142,28 +133,18 @@ async def _read_request(
         ) from None
     if length < 0 or length > MAX_BODY_BYTES:
         raise ValueError("request body too large")
-    body = await reader.readexactly(length) if length else b""
-    return _Request(method, target, version, headers, body)
+    if length:
+        await reader.readexactly(length)
+    return _Request(method.upper(), target, version, headers)
 
 
-def _response_head(
-    status: int, headers: List[Tuple[bytes, bytes]], body_len: int,
-    keep_alive: bool,
-) -> bytes:
-    reason = _REASONS.get(status, "Unknown")
-    parts = [f"HTTP/1.1 {status} {reason}\r\n".encode("latin-1")]
-    for name, value in headers:
-        lowered = name.lower()
-        if lowered in (b"content-length", b"connection"):
-            continue
-        parts.append(name + b": " + value + b"\r\n")
-    parts.append(f"content-length: {body_len}\r\n".encode("latin-1"))
-    parts.append(
-        b"connection: keep-alive\r\n" if keep_alive
-        else b"connection: close\r\n"
-    )
-    parts.append(b"\r\n")
-    return b"".join(parts)
+def _response_bytes(response: Response, keep_alive: bool) -> bytes:
+    lines = [f"HTTP/1.1 {response.status} {_REASONS[response.status]}"]
+    lines.extend(f"{name}: {value}" for name, value in response.headers)
+    lines.append(f"content-length: {len(response.body)}")
+    lines.append("connection: " + ("keep-alive" if keep_alive else "close"))
+    head = "\r\n".join(lines) + "\r\n\r\n"
+    return head.encode("latin-1") + response.body
 
 
 def websocket_accept_key(client_key: str) -> str:
@@ -248,12 +229,12 @@ async def read_frame(
             return opcode, bytes(buffer)
 
 
-class AsgiHttpServer:
-    """Serve an ASGI app over real localhost/network sockets.
+class HttpServer:
+    """Serve a :class:`MarketplaceService` over real sockets.
 
     Usage::
 
-        server = AsgiHttpServer(app, host="127.0.0.1", port=0)
+        server = HttpServer(service, host="127.0.0.1", port=0)
         await server.start()        # binds; server.port is now real
         await server.serve_forever()
 
@@ -262,14 +243,17 @@ class AsgiHttpServer:
     """
 
     def __init__(
-        self, app: AsgiApp, host: str = "127.0.0.1", port: int = 0
+        self,
+        service: MarketplaceService,
+        host: str = "127.0.0.1",
+        port: int = 0,
     ) -> None:
-        self.app = app
+        self.service = service
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None  # guarded-by: <event-loop>
         self.connections_accepted = 0  # guarded-by: <event-loop>
-        #: Connections whose app callable raised (each answered 500).
+        #: Requests whose ``respond`` raised (each answered 500).
         self.app_failures = 0  # guarded-by: <event-loop>
 
     async def start(self) -> None:
@@ -306,16 +290,30 @@ class AsgiHttpServer:
             while True:
                 try:
                     request = await _read_request(reader)
+                except _HeadTooLarge as exc:
+                    await _send(writer, error_response(
+                        431, "headers_too_large", str(exc)))
+                    break
                 except ValueError as exc:
-                    await self._bare_error(writer, 400, str(exc))
+                    await _send(writer, error_response(
+                        400, "bad_request", str(exc)))
                     break
                 if request is None:
                     break
                 if request.wants_websocket():
                     await self._serve_websocket(request, reader, writer)
                     break
+                try:
+                    response = self.service.respond(
+                        request.method, request.target
+                    )
+                except Exception:  # noqa: BLE001 - a crash answers 500
+                    self.app_failures += 1
+                    await _send(writer, error_response(
+                        500, "internal_error", "internal error"))
+                    break
                 keep_alive = not request.wants_close()
-                await self._serve_http(request, writer, keep_alive)
+                await _send(writer, response, keep_alive)
                 if not keep_alive:
                     break
         except (
@@ -338,202 +336,54 @@ class AsgiHttpServer:
                 # beats surfacing a spurious CancelledError.
                 pass
 
-    async def _bare_error(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        detail: str,
-        error: str = "bad_request",
-    ) -> None:
-        body = json.dumps(
-            {"detail": detail, "error": error},
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=False,
-        ).encode("utf-8")
-        writer.write(
-            _response_head(
-                status,
-                [(b"content-type", b"application/json")],
-                len(body),
-                keep_alive=False,
-            )
-            + body
-        )
-        await writer.drain()
-
-    async def _serve_http(
-        self,
-        request: _Request,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-    ) -> None:
-        scope: Scope = {
-            "type": "http",
-            "asgi": {"version": "3.0", "spec_version": "2.3"},
-            "http_version": "1.1",
-            "method": request.method.upper(),
-            "scheme": "http",
-            "path": request.path,
-            "raw_path": request.target.encode("utf-8"),
-            "query_string": request.query_string,
-            "root_path": "",
-            "headers": [
-                (name.encode("latin-1"), value.encode("latin-1"))
-                for name, value in request.headers.items()
-            ],
-            "server": (self.host, self.port),
-            "client": writer.get_extra_info("peername"),
-        }
-        received = False
-
-        async def receive() -> Message:
-            nonlocal received
-            if not received:
-                received = True
-                return {
-                    "type": "http.request",
-                    "body": request.body,
-                    "more_body": False,
-                }
-            return {"type": "http.disconnect"}
-
-        status = 500
-        headers: List[Tuple[bytes, bytes]] = []
-        chunks: List[bytes] = []
-
-        async def send(message: Message) -> None:
-            nonlocal status, headers
-            if message["type"] == "http.response.start":
-                status = message["status"]
-                headers = list(message.get("headers", []))
-            elif message["type"] == "http.response.body":
-                chunks.append(message.get("body", b""))
-
-        try:
-            await self.app(scope, receive, send)
-        except Exception:  # noqa: BLE001 - an app crash answers 500
-            self.app_failures += 1
-            await self._bare_error(
-                writer, 500, "internal error", error="internal_error"
-            )
-            return
-        body = b"".join(chunks)
-        writer.write(
-            _response_head(status, headers, len(body), keep_alive)
-            + body
-        )
-        await writer.drain()
-
     async def _serve_websocket(
         self,
         request: _Request,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        if request.path != PING_PATH:
+            await _send(writer, error_response(
+                404, "not_found",
+                f"no WebSocket endpoint {request.path!r}"))
+            return
         client_key = request.headers.get("sec-websocket-key")
         if client_key is None:
-            await self._bare_error(
-                writer, 400, "missing Sec-WebSocket-Key"
-            )
+            await _send(writer, error_response(
+                400, "bad_request", "missing Sec-WebSocket-Key"))
             return
-        scope: Scope = {
-            "type": "websocket",
-            "asgi": {"version": "3.0", "spec_version": "2.3"},
-            "http_version": "1.1",
-            "scheme": "ws",
-            "path": request.path,
-            "raw_path": request.target.encode("utf-8"),
-            "query_string": request.query_string,
-            "root_path": "",
-            "headers": [
-                (name.encode("latin-1"), value.encode("latin-1"))
-                for name, value in request.headers.items()
-            ],
-            "subprotocols": [],
-            "server": (self.host, self.port),
-            "client": writer.get_extra_info("peername"),
-        }
-        connected = False
-        closed = False
-
-        async def receive() -> Message:
-            nonlocal connected, closed
-            if not connected:
-                connected = True
-                return {"type": "websocket.connect"}
-            if closed:
-                return {"type": "websocket.disconnect", "code": 1006}
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    frame = None
-                if frame is None:
-                    closed = True
-                    return {
-                        "type": "websocket.disconnect",
-                        "code": 1006,
-                    }
-                opcode, payload = frame
-                if opcode == OP_CLOSE:
-                    closed = True
-                    code = 1000
-                    if len(payload) >= 2:
-                        code = int.from_bytes(payload[:2], "big")
-                    writer.write(encode_frame(OP_CLOSE, payload[:2]))
-                    await writer.drain()
-                    return {
-                        "type": "websocket.disconnect",
-                        "code": code,
-                    }
-                if opcode == OP_PING:
-                    writer.write(encode_frame(OP_PONG, payload))
-                    await writer.drain()
-                    continue
-                if opcode == OP_PONG:
-                    continue
-                if opcode == OP_TEXT:
-                    return {
-                        "type": "websocket.receive",
-                        "text": payload.decode("utf-8", "replace"),
-                    }
-                return {"type": "websocket.receive", "bytes": payload}
-
-        async def send(message: Message) -> None:
-            nonlocal closed
-            kind = message["type"]
-            if kind == "websocket.accept":
-                writer.write(
-                    b"HTTP/1.1 101 Switching Protocols\r\n"
-                    b"upgrade: websocket\r\n"
-                    b"connection: Upgrade\r\n"
-                    b"sec-websocket-accept: "
-                    + websocket_accept_key(client_key).encode("ascii")
-                    + b"\r\n\r\n"
+        writer.write(
+            b"HTTP/1.1 101 Switching Protocols\r\n"
+            b"upgrade: websocket\r\n"
+            b"connection: Upgrade\r\n"
+            b"sec-websocket-accept: "
+            + websocket_accept_key(client_key).encode("ascii")
+            + b"\r\n\r\n"
+        )
+        await writer.drain()
+        while True:
+            frame = await read_frame(reader)
+            if frame is None:
+                return
+            opcode, payload = frame
+            if opcode == OP_PONG:
+                continue
+            if opcode == OP_PING:
+                writer.write(encode_frame(OP_PONG, payload))
+            elif opcode == OP_CLOSE:
+                writer.write(encode_frame(OP_CLOSE, payload[:2]))
+                await writer.drain()
+                return
+            else:
+                reply = await self.service.answer(
+                    payload.decode("utf-8", "replace")
                 )
-                await writer.drain()
-            elif kind == "websocket.send":
-                text = message.get("text")
-                if text is not None:
-                    frame = encode_frame(
-                        OP_TEXT, text.encode("utf-8")
-                    )
-                else:
-                    frame = encode_frame(
-                        OP_BINARY, message.get("bytes") or b""
-                    )
-                writer.write(frame)
-                await writer.drain()
-            elif kind == "websocket.close":
-                if not closed:
-                    code = int(message.get("code", 1000))
-                    writer.write(
-                        encode_frame(
-                            OP_CLOSE, code.to_bytes(2, "big")
-                        )
-                    )
-                    await writer.drain()
-                    closed = True
+                writer.write(encode_frame(OP_TEXT, reply))
+            await writer.drain()
 
-        await self.app(scope, receive, send)
+
+async def _send(
+    writer: asyncio.StreamWriter, response: Response, keep_alive: bool = False
+) -> None:
+    writer.write(_response_bytes(response, keep_alive))
+    await writer.drain()

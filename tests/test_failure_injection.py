@@ -6,6 +6,7 @@ loudly (or skip knowingly) rather than silently corrupt figures.
 """
 
 import json
+import re
 
 import pytest
 
@@ -108,6 +109,54 @@ class TestCorruptRounds:
         path = self.write_with_damage(small_log, tmp_path, mutate)
         with pytest.raises(ValueError, match="line 2"):
             CampaignLog.load(path)
+
+
+class TestTruncatedGzipLog:
+    """A ``.jsonl.gz`` log cut short, as a campaign killed mid-save
+    leaves it, loads like a torn plain log: leniently, every round
+    before the cut; strictly, a ValueError naming the path."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        from repro.parallel.orchestrator import CampaignSpec, execute_campaign
+        path = tmp_path_factory.mktemp("gz") / "campaign.jsonl.gz"
+        outcome = execute_campaign(CampaignSpec(
+            key="gz", city="sf", seed=3, hours=0.5,
+            ping_interval_s=30.0, out=str(path),
+        ))
+        assert outcome.ok, outcome.error
+        return path, CampaignLog.load(path).rounds
+
+    def cut(self, saved, tmp_path, keep):
+        path, _ = saved
+        data = path.read_bytes()
+        torn = tmp_path / "torn.jsonl.gz"
+        torn.write_bytes(data[:keep(len(data))])
+        return torn
+
+    def test_lenient_load_keeps_the_leading_rounds(self, saved, tmp_path):
+        _, rounds = saved
+        assert len(rounds) == 60
+        # Ten bytes short (the gzip trailer and the stream's last
+        # bytes), then half the file.
+        for keep, at_least in [(lambda n: n - 10, 59),
+                               (lambda n: n // 2, 1)]:
+            torn = self.cut(saved, tmp_path, keep)
+            loaded = CampaignLog.load(torn, strict=False).rounds
+            assert len(loaded) >= at_least
+            assert loaded == rounds[:len(loaded)]
+
+    @pytest.mark.parametrize("strict, keep", [
+        (True, lambda n: n // 2),
+        (True, lambda n: 40),
+        (False, lambda n: 40),
+    ], ids=["strict-mid-log", "strict-in-header", "lenient-in-header"])
+    def test_strict_or_header_cut_names_the_path(
+        self, saved, tmp_path, strict, keep
+    ):
+        torn = self.cut(saved, tmp_path, keep)
+        with pytest.raises(ValueError, match=re.escape(str(torn))):
+            CampaignLog.load(torn, strict=strict)
 
 
 class TestHostileInputsElsewhere:

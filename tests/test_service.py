@@ -1,18 +1,24 @@
 """Tests for the socket service layer (:mod:`repro.service`).
 
-Everything here runs in-process through :class:`AsgiTestClient` — no
-sockets, no third-party dependencies — except the final smoke test,
-which binds a real localhost socket and skips cleanly where binding is
-not permitted.  The load on these tests is the transport *contract*:
+The service answers through two methods, and the in-process tests call
+them directly: ``MarketplaceService.respond`` for one HTTP request and
+``MarketplaceService.answer`` for one message of the ping stream.  The
+socket tests then drive :class:`HttpServer`, the server ``repro serve``
+runs, over localhost with the stdlib client of
+:mod:`repro.service.loadgen`; they skip where binding is not permitted.
+The load on these tests is the transport *contract*:
 
 * routes, status codes, and error bodies;
 * HTTP 429 + ``Retry-After`` for over-budget accounts (§3.2);
-* **byte-identity**: every payload served over the transport equals the
+* **byte-identity**: every payload the service answers equals the
   canonical encoding of the in-process result, on the production
   engine and on the oracle (the bit-identity contract extended across
   a socket);
 * round coalescing: concurrent pings collapse into one
-  ``serve_round`` batch without changing any reply.
+  ``serve_round`` batch without changing any reply;
+* the server's own paths: keep-alive, WebSocket control frames, the
+  refusals it answers itself (404, 426, 431) and the 500 for a handler
+  that raises.
 """
 
 from __future__ import annotations
@@ -31,11 +37,21 @@ from repro.api.rest import RestApi
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.service import (
-    AsgiHttpServer,
-    AsgiTestClient,
+    HttpServer,
     MarketplaceService,
     RoundAccumulator,
 )
+from repro.service.http import (
+    MAX_HEAD_BYTES,
+    OP_CLOSE,
+    OP_PING,
+    OP_PONG,
+    encode_frame,
+    read_frame,
+)
+from repro.service.loadgen import WebSocketClient, _parse_head, http_get
+
+_MASK = b"\x01\x02\x03\x04"
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +67,8 @@ def center(engine):
 
 
 @pytest.fixture()
-def client(engine):
-    with AsgiTestClient(MarketplaceService(engine, city="toyville")) as c:
-        yield c
+def service(engine):
+    return MarketplaceService(engine, city="toyville")
 
 
 def _price_target(account_id, start, end, car_types=""):
@@ -73,38 +88,58 @@ def _time_target(account_id, location, car_types=""):
     )
 
 
+def _ping_text(account_id, location, car_types=None):
+    message = {"account_id": account_id, "lat": location.lat,
+               "lon": location.lon}
+    if car_types is not None:
+        message["car_types"] = car_types
+    return json.dumps(message)
+
+
+def _answer(service, text):
+    """The service's reply bytes to one ping-stream message."""
+    return asyncio.run(service.answer(text))
+
+
+def _get_json(service, target):
+    response = service.respond("GET", target)
+    return response.status, json.loads(response.body)
+
+
 class TestHttpRoutes:
-    def test_health(self, client, engine):
-        response = client.get("/v1/health")
+    def test_health(self, service, engine):
+        response = service.respond("GET", "/v1/health")
         assert response.status == 200
-        assert response.header("content-type") == "application/json"
+        assert dict(response.headers)["content-type"] == "application/json"
         assert response.body == serialize.canonical_json(
             serialize.health_payload(engine.clock.now, city="toyville")
         )
 
-    def test_unknown_path_is_404(self, client):
-        response = client.get("/v1/nope")
-        assert response.status == 404
-        assert response.json()["error"] == "not_found"
+    def test_unknown_path_is_404(self, service):
+        status, body = _get_json(service, "/v1/nope")
+        assert status == 404
+        assert body["error"] == "not_found"
 
-    def test_non_get_is_405(self, client):
-        response = client.request("POST", "/v1/health")
+    def test_non_get_is_405(self, service):
+        response = service.respond("POST", "/v1/health")
         assert response.status == 405
-        assert response.json()["error"] == "method_not_allowed"
+        assert json.loads(response.body)["error"] == "method_not_allowed"
 
-    def test_missing_parameter_is_400(self, client):
-        response = client.get("/v1/surge?account_id=a&lat=40.7")
-        assert response.status == 400
-        assert "lon" in response.json()["detail"]
+    def test_missing_parameter_is_400(self, service):
+        status, body = _get_json(service, "/v1/surge?account_id=a&lat=40.7")
+        assert status == 400
+        assert "lon" in body["detail"]
 
-    def test_non_numeric_parameter_is_400(self, client):
-        response = client.get("/v1/surge?account_id=a&lat=x&lon=-74.0")
-        assert response.status == 400
-        assert response.json()["error"] == "bad_request"
+    def test_non_numeric_parameter_is_400(self, service):
+        status, body = _get_json(
+            service, "/v1/surge?account_id=a&lat=x&lon=-74.0"
+        )
+        assert status == 400
+        assert body["error"] == "bad_request"
 
-    def test_non_finite_parameter_is_400(self, client):
+    def test_non_finite_parameter_is_400(self, service):
         """NaN, infinite and off-the-globe coordinates are 400s naming
-        the parameter, never an exception out of the app (a 500)."""
+        the parameter, never an exception out of ``respond`` (a 500)."""
         for target, name in [
             ("/v1/surge?account_id=a&lat=nan&lon=-74.0", "lat"),
             ("/v1/surge?account_id=a&lat=1e999&lon=-74.0", "lat"),
@@ -115,18 +150,17 @@ class TestHttpRoutes:
             ("/v1/estimates/price?account_id=a&start_lat=0&start_lon=0"
              "&end_lat=0&end_lon=180.5", "end_lon"),
         ]:
-            response = client.get(target)
-            assert response.status == 400, target
-            body = response.json()
+            status, body = _get_json(service, target)
+            assert status == 400, target
             assert body["error"] == "bad_request"
             assert f"parameter {name!r}" in body["detail"]
 
-    def test_unknown_car_type_is_400(self, client, center):
-        response = client.get(
-            _time_target("a", center, car_types="warp_drive")
+    def test_unknown_car_type_is_400(self, service, center):
+        status, body = _get_json(
+            service, _time_target("a", center, car_types="warp_drive")
         )
-        assert response.status == 400
-        assert "warp_drive" in response.json()["detail"]
+        assert status == 400
+        assert "warp_drive" in body["detail"]
 
 
 class TestRateLimitContract:
@@ -136,38 +170,30 @@ class TestRateLimitContract:
         service = MarketplaceService(
             engine, limiter=RateLimiter(limit=2, window_s=3600.0)
         )
-        with AsgiTestClient(service) as client:
-            target = _time_target("heavy", center)
-            assert client.get(target).status == 200
-            assert client.get(target).status == 200
-            response = client.get(target)
-            assert response.status == 429
-            header = response.header("retry-after")
-            assert header is not None and header.isdigit()
-            assert int(header) >= 1  # rounded up, never "0"
-            body = response.json()
-            assert body["error"] == "rate_limited"
-            assert body["account_id"] == "heavy"
-            assert body["retry_after_s"] == int(header)
-            # Budgets are per account: another account still passes.
-            assert client.get(_time_target("light", center)).status == 200
+        target = _time_target("heavy", center)
+        assert service.respond("GET", target).status == 200
+        assert service.respond("GET", target).status == 200
+        response = service.respond("GET", target)
+        assert response.status == 429
+        header = dict(response.headers).get("retry-after")
+        assert header is not None and header.isdigit()
+        assert int(header) >= 1  # rounded up, never "0"
+        body = json.loads(response.body)
+        assert body["error"] == "rate_limited"
+        assert body["account_id"] == "heavy"
+        assert body["retry_after_s"] == int(header)
+        # Budgets are per account: another account still passes.
+        light = service.respond("GET", _time_target("light", center))
+        assert light.status == 200
 
     def test_ping_stream_is_never_limited(self, engine, center):
         # The production pingClient path had no rate limit (§3.2).
         service = MarketplaceService(
             engine, limiter=RateLimiter(limit=1, window_s=3600.0)
         )
-        with AsgiTestClient(service) as client:
-            with client.websocket("/v1/ping") as ws:
-                for _ in range(5):
-                    ws.send_json(
-                        {
-                            "account_id": "pinger",
-                            "lat": center.lat,
-                            "lon": center.lon,
-                        }
-                    )
-                    assert "error" not in ws.receive_json()
+        for _ in range(5):
+            reply = json.loads(_answer(service, _ping_text("pinger", center)))
+            assert "error" not in reply
 
 
 def _warm_engine(vectorized: bool) -> MarketplaceEngine:
@@ -181,7 +207,7 @@ def _warm_engine(vectorized: bool) -> MarketplaceEngine:
 
 
 class TestTransportByteIdentity:
-    """Socket payloads == canonical encoding of in-process results, on
+    """Served payloads == canonical encoding of in-process results, on
     the production engine and on the oracle."""
 
     @pytest.mark.parametrize(
@@ -199,112 +225,86 @@ class TestTransportByteIdentity:
         # The other engine, same seed and instant: the served bytes
         # must not depend on which engine produced them either.
         twin_ping = PingEndpoint(_warm_engine(not vectorized))
-        with AsgiTestClient(service) as client:
-            with client.websocket("/v1/ping") as ws:
-                ws.send_json(
-                    {
-                        "account_id": "idacct",
-                        "lat": center.lat,
-                        "lon": center.lon,
-                    }
-                )
-                wire = ws.receive_text().encode("utf-8")
-                expected = serialize.encode_ping_reply(
-                    reference_ping.ping("idacct", center)
-                )
-                assert wire == expected
-                assert wire == serialize.encode_ping_reply(
-                    twin_ping.ping("idacct", center)
-                )
-                # A restricted ping, same session.
-                ws.send_json(
-                    {
-                        "account_id": "idacct",
-                        "lat": edge.lat,
-                        "lon": edge.lon,
-                        "car_types": [CarType.UBERX.value],
-                    }
-                )
-                wire = ws.receive_text().encode("utf-8")
-                expected = serialize.encode_ping_reply(
-                    reference_ping.ping("idacct", edge, [CarType.UBERX])
-                )
-                assert wire == expected
-                assert wire == serialize.encode_ping_reply(
-                    twin_ping.ping("idacct", edge, [CarType.UBERX])
-                )
 
-            response = client.get(_price_target("idacct", center, edge))
-            assert response.status == 200
-            assert response.body == serialize.encode_price_estimates(
-                reference_rest.price_estimates("idacct", center, edge)
-            )
+        wire = _answer(service, _ping_text("idacct", center))
+        assert wire == serialize.encode_ping_reply(
+            reference_ping.ping("idacct", center)
+        )
+        assert wire == serialize.encode_ping_reply(
+            twin_ping.ping("idacct", center)
+        )
+        # A restricted ping.
+        wire = _answer(
+            service, _ping_text("idacct", edge, [CarType.UBERX.value])
+        )
+        assert wire == serialize.encode_ping_reply(
+            reference_ping.ping("idacct", edge, [CarType.UBERX])
+        )
+        assert wire == serialize.encode_ping_reply(
+            twin_ping.ping("idacct", edge, [CarType.UBERX])
+        )
 
-            response = client.get(
-                _time_target("idacct", center, car_types="uberX")
-            )
-            assert response.status == 200
-            assert response.body == serialize.encode_time_estimates(
-                reference_rest.time_estimates(
-                    "idacct", center, [CarType.UBERX]
-                )
-            )
+        response = service.respond(
+            "GET", _price_target("idacct", center, edge)
+        )
+        assert response.status == 200
+        assert response.body == serialize.encode_price_estimates(
+            reference_rest.price_estimates("idacct", center, edge)
+        )
 
-            response = client.get(
-                f"/v1/surge?account_id=idacct"
-                f"&lat={center.lat!r}&lon={center.lon!r}"
+        response = service.respond(
+            "GET", _time_target("idacct", center, car_types="uberX")
+        )
+        assert response.status == 200
+        assert response.body == serialize.encode_time_estimates(
+            reference_rest.time_estimates(
+                "idacct", center, [CarType.UBERX]
             )
-            assert response.status == 200
-            assert response.body == serialize.encode_surge(
-                CarType.UBERX,
-                reference_rest.surge_multiplier("idacct", center),
-            )
+        )
+
+        response = service.respond(
+            "GET",
+            f"/v1/surge?account_id=idacct"
+            f"&lat={center.lat!r}&lon={center.lon!r}",
+        )
+        assert response.status == 200
+        assert response.body == serialize.encode_surge(
+            CarType.UBERX,
+            reference_rest.surge_multiplier("idacct", center),
+        )
 
 
 class TestWebSocketProtocol:
-    def test_wrong_path_is_refused(self, client):
-        with pytest.raises(AssertionError, match="not accepted"):
-            client.websocket("/v1/elsewhere")
+    def test_malformed_messages_get_error_replies(self, service, center):
+        def reply_to(text):
+            return json.loads(_answer(service, text))
 
-    def test_malformed_messages_get_error_replies(self, client, center):
-        with client.websocket("/v1/ping") as ws:
-            ws.send_text("{not json")
-            assert ws.receive_json()["error"] == "bad_request"
-            ws.send_json(["not", "an", "object"])
-            assert "object" in ws.receive_json()["detail"]
-            ws.send_json({"account_id": "a", "lat": 40.7})
-            assert "lon" in ws.receive_json()["detail"]
-            ws.send_json({"account_id": 7, "lat": 40.7, "lon": -74.0})
-            assert "string" in ws.receive_json()["detail"]
-            ws.send_json(
-                {
-                    "account_id": "a",
-                    "lat": center.lat,
-                    "lon": center.lon,
-                    "car_types": ["warp_drive"],
-                }
-            )
-            assert "warp_drive" in ws.receive_json()["detail"]
-            # Coordinates off the globe, NaN, overflowing floats and
-            # integers too large for a float, each named in the reply.
-            for message, name in [
-                ('{"account_id": "a", "lat": 91, "lon": 0}', "lat"),
-                ('{"account_id": "a", "lat": NaN, "lon": 0}', "lat"),
-                ('{"account_id": "a", "lat": 40.7, "lon": 1e999}', "lon"),
-                ('{"account_id": "a", "lat": 0, "lon": -'
-                 + "9" * 400 + "}", "lon"),
-            ]:
-                ws.send_text(message)
-                reply = ws.receive_json()
-                assert reply["error"] == "bad_request"
-                assert reply["detail"].startswith(f"{name} must be")
-            # The session survives every malformed message: a valid
-            # ping on the same connection is still answered.
-            ws.send_json(
-                {"account_id": "a", "lat": center.lat, "lon": center.lon}
-            )
-            reply = ws.receive_json()
-            assert "statuses" in reply and "error" not in reply
+        assert reply_to("{not json")["error"] == "bad_request"
+        assert "object" in reply_to(json.dumps(["not", "an", "object"]))[
+            "detail"]
+        assert "lon" in reply_to(
+            json.dumps({"account_id": "a", "lat": 40.7}))["detail"]
+        assert "string" in reply_to(
+            json.dumps({"account_id": 7, "lat": 40.7, "lon": -74.0})
+        )["detail"]
+        assert "warp_drive" in reply_to(
+            _ping_text("a", center, ["warp_drive"]))["detail"]
+        # Coordinates off the globe, NaN, overflowing floats and
+        # integers too large for a float, each named in the reply.
+        for message, name in [
+            ('{"account_id": "a", "lat": 91, "lon": 0}', "lat"),
+            ('{"account_id": "a", "lat": NaN, "lon": 0}', "lat"),
+            ('{"account_id": "a", "lat": 40.7, "lon": 1e999}', "lon"),
+            ('{"account_id": "a", "lat": 0, "lon": -'
+             + "9" * 400 + "}", "lon"),
+        ]:
+            reply = reply_to(message)
+            assert reply["error"] == "bad_request"
+            assert reply["detail"].startswith(f"{name} must be")
+        # A malformed message leaves the service as it was: a valid
+        # ping is still answered.
+        reply = reply_to(_ping_text("a", center))
+        assert "statuses" in reply and "error" not in reply
 
 
 class TestRoundAccumulator:
@@ -435,63 +435,83 @@ class TestRoundAccumulator:
 
 
 class TestDisconnectDuringPing:
-    """Soak: a WebSocket client that vanishes while its ping is parked
-    in the coalesce window must not wedge the accumulator — later
-    clients keep getting served, and the abandoned request is
-    withdrawn rather than served to nobody."""
+    """Soak: a ping whose connection vanishes while it is parked in the
+    coalesce window must not wedge the accumulator — later pings keep
+    getting served, and the abandoned request is withdrawn rather than
+    served to nobody."""
 
     def test_disconnect_while_parked_does_not_strand_later_pings(
         self, engine, center
     ):
         service = MarketplaceService(engine, coalesce_window_s=0.05)
         reference = PingEndpoint(engine)
-        with AsgiTestClient(service) as client:
-            quitter = client.websocket("/v1/ping")
-            quitter.send_json(
-                {
-                    "account_id": "quitter",
-                    "lat": center.lat,
-                    "lon": center.lon,
-                }
+
+        async def scenario():
+            quitter = asyncio.ensure_future(
+                service.answer(_ping_text("quitter", center))
             )
-            # Advance the loop just enough for the handler to park the
-            # ping in the accumulator, then kill the connection's app
-            # task mid-submit — the in-process equivalent of the socket
-            # dropping while the coalesce window is still open.
-            client._loop.run_until_complete(asyncio.sleep(0.005))
+            # Let the answer park its ping in the accumulator, then
+            # cancel it while the coalesce window is still open: what a
+            # connection's handler sees when it is torn down mid-ping.
+            await asyncio.sleep(0.005)
             assert len(service.rounds._pending) == 1
-            quitter._task.cancel()
+            quitter.cancel()
             # Let the cancellation land and the window elapse.
-            client._loop.run_until_complete(asyncio.sleep(0.1))
+            await asyncio.sleep(0.1)
             assert service.rounds._pending == []
             assert service.rounds.requests_served == 0
-            # Soak: fresh connections after the abandonment are served
-            # normally, byte-identical to the in-process endpoint.
+            # Soak: pings after the abandonment are served normally,
+            # byte-identical to the in-process endpoint.
             for i in range(5):
-                with client.websocket("/v1/ping") as ws:
-                    ws.send_json(
-                        {
-                            "account_id": f"late{i}",
-                            "lat": center.lat,
-                            "lon": center.lon,
-                        }
-                    )
-                    assert ws.receive_text() == (
-                        serialize.encode_ping_reply(
-                            reference.ping(f"late{i}", center)
-                        ).decode("utf-8")
-                    )
+                wire = await service.answer(_ping_text(f"late{i}", center))
+                assert wire == serialize.encode_ping_reply(
+                    reference.ping(f"late{i}", center)
+                )
+
+        asyncio.run(scenario())
         assert service.rounds.requests_served == 5
         assert service.rounds.rounds_served == 5
 
 
+def _over_socket(service, exchange):
+    """Serve *service* on a localhost :class:`HttpServer` and run
+    ``exchange(server)`` against it; skips where binding sockets is not
+    permitted."""
+
+    async def run():
+        server = HttpServer(service, port=0)
+        try:
+            await server.start()
+        except OSError as exc:  # pragma: no cover - sandboxed env
+            pytest.skip(f"cannot bind localhost sockets: {exc}")
+        try:
+            return await exchange(server)
+        finally:
+            await server.stop()
+
+    return asyncio.run(run())
+
+
+async def _read_response(reader):
+    """``(status, headers, body)`` of one HTTP response."""
+    status, headers = _parse_head(await reader.readuntil(b"\r\n\r\n"))
+    body = await reader.readexactly(int(headers["content-length"]))
+    return status, headers, body
+
+
+async def _close(writer):
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, BrokenPipeError):
+        pass
+
+
 class TestRealSocketSmoke:
-    """One exchange over a real localhost socket (stdlib server +
-    stdlib client).  Skips where binding sockets is not permitted."""
+    """Exchanges over a real localhost socket (the server ``repro
+    serve`` runs + the stdlib client)."""
 
     def test_http_and_websocket_roundtrip(self, engine, center):
-        from repro.service.loadgen import WebSocketClient, http_get
-
         service = MarketplaceService(engine, coalesce_window_s=0.002)
         reference = PingEndpoint(engine)
         expected_ping = serialize.encode_ping_reply(
@@ -501,36 +521,194 @@ class TestRealSocketSmoke:
             serialize.health_payload(engine.clock.now)
         )
 
-        async def exercise():
-            server = AsgiHttpServer(service, port=0)
+        async def exchange(server):
+            response = await http_get(
+                "127.0.0.1", server.port, "/v1/health"
+            )
+            assert response.status == 200
+            assert response.headers["content-type"] == "application/json"
+            assert response.body == expected_health
+            ws = await WebSocketClient.connect(
+                "127.0.0.1", server.port, "/v1/ping"
+            )
             try:
-                await server.start()
-            except OSError as exc:  # pragma: no cover - sandboxed env
-                pytest.skip(f"cannot bind localhost sockets: {exc}")
-            try:
-                response = await http_get(
-                    "127.0.0.1", server.port, "/v1/health"
-                )
-                assert response.status == 200
-                assert response.body == expected_health
-                ws = await WebSocketClient.connect(
-                    "127.0.0.1", server.port, "/v1/ping"
-                )
-                try:
-                    await ws.send_text(
-                        json.dumps(
-                            {
-                                "account_id": "sock",
-                                "lat": center.lat,
-                                "lon": center.lon,
-                            }
-                        )
-                    )
-                    text = await ws.receive_text()
-                finally:
-                    await ws.close()
-                assert text == expected_ping
+                await ws.send_text(_ping_text("sock", center))
+                text = await ws.receive_text()
             finally:
-                await server.stop()
+                await ws.close()
+            assert text == expected_ping
 
-        asyncio.run(exercise())
+        _over_socket(service, exchange)
+
+    def test_two_requests_on_one_keep_alive_connection(
+        self, service, engine
+    ):
+        expected = serialize.canonical_json(
+            serialize.health_payload(engine.clock.now, city="toyville")
+        )
+
+        async def exchange(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                request = b"GET /v1/health HTTP/1.1\r\nhost: x\r\n\r\n"
+                answers = []
+                for _ in range(2):
+                    writer.write(request)
+                    await writer.drain()
+                    answers.append(await _read_response(reader))
+            finally:
+                await _close(writer)
+            assert server.connections_accepted == 1
+            return answers
+
+        for status, headers, body in _over_socket(service, exchange):
+            assert status == 200
+            assert headers["connection"] == "keep-alive"
+            assert body == expected
+
+    def test_malformed_message_then_valid_ping_on_one_session(
+        self, service, engine, center
+    ):
+        expected = serialize.encode_ping_reply(
+            PingEndpoint(engine).ping("after", center)
+        ).decode("utf-8")
+
+        async def exchange(server):
+            ws = await WebSocketClient.connect(
+                "127.0.0.1", server.port, "/v1/ping"
+            )
+            try:
+                await ws.send_text("{not json")
+                error = json.loads(await ws.receive_text())
+                await ws.send_text(_ping_text("after", center))
+                return error, await ws.receive_text()
+            finally:
+                await ws.close()
+
+        error, reply = _over_socket(service, exchange)
+        assert error == {
+            "detail": "ping message is not valid JSON",
+            "error": "bad_request",
+        }
+        assert reply == expected
+
+    def test_client_ping_gets_a_pong_with_its_payload(self, service):
+        async def exchange(server):
+            ws = await WebSocketClient.connect(
+                "127.0.0.1", server.port, "/v1/ping"
+            )
+            try:
+                ws._writer.write(
+                    encode_frame(OP_PING, b"are you there", _MASK)
+                )
+                await ws._writer.drain()
+                return await read_frame(ws._reader)
+            finally:
+                await ws.close()
+
+        assert _over_socket(service, exchange) == (OP_PONG, b"are you there")
+
+    def test_client_close_is_echoed(self, service):
+        async def exchange(server):
+            ws = await WebSocketClient.connect(
+                "127.0.0.1", server.port, "/v1/ping"
+            )
+            try:
+                code = (1001).to_bytes(2, "big")
+                ws._writer.write(encode_frame(OP_CLOSE, code, _MASK))
+                await ws._writer.drain()
+                echo = await read_frame(ws._reader)
+                # ... and the server ends the connection.
+                return echo, await read_frame(ws._reader)
+            finally:
+                await _close(ws._writer)
+
+        echo, after = _over_socket(service, exchange)
+        assert echo == (OP_CLOSE, (1001).to_bytes(2, "big"))
+        assert after is None
+
+    def test_a_handler_that_raises_answers_500(self, service):
+        class Crashing:
+            def respond(self, method, target):
+                raise RuntimeError("boom")
+
+        async def exchange(server):
+            response = await http_get(
+                "127.0.0.1", server.port, "/v1/health"
+            )
+            return response, server.app_failures
+
+        response, failures = _over_socket(Crashing(), exchange)
+        assert response.status == 500
+        assert json.loads(response.body) == {
+            "detail": "internal error",
+            "error": "internal_error",
+        }
+        assert failures == 1
+
+
+class TestServerRefusals:
+    """Requests the server refuses itself, each answered with an HTTP
+    status and an error body, then a close."""
+
+    def test_upgrade_to_another_path_is_404(self, service):
+        async def exchange(server):
+            with pytest.raises(ConnectionError, match="HTTP 404"):
+                await WebSocketClient.connect(
+                    "127.0.0.1", server.port, "/v1/elsewhere"
+                )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(
+                    b"GET /v1/health HTTP/1.1\r\nhost: x\r\n"
+                    b"upgrade: websocket\r\nconnection: Upgrade\r\n"
+                    b"sec-websocket-key: cmVwcm8td3Mta2V5LTAwMQ==\r\n"
+                    b"sec-websocket-version: 13\r\n\r\n"
+                )
+                await writer.drain()
+                answer = await _read_response(reader)
+                return answer, await reader.read()
+            finally:
+                await _close(writer)
+
+        (status, headers, body), rest = _over_socket(service, exchange)
+        assert status == 404
+        assert headers["connection"] == "close"
+        assert json.loads(body) == {
+            "detail": "no WebSocket endpoint '/v1/health'",
+            "error": "not_found",
+        }
+        assert rest == b""  # closed after the answer
+
+    def test_plain_get_of_the_ping_stream_is_426(self, service):
+        async def exchange(server):
+            return await http_get("127.0.0.1", server.port, "/v1/ping")
+
+        response = _over_socket(service, exchange)
+        assert response.status == 426
+        assert response.headers["upgrade"] == "websocket"
+        assert json.loads(response.body)["error"] == "upgrade_required"
+
+    def test_oversized_request_head_is_431(self, service):
+        async def exchange(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(
+                    b"GET /v1/health HTTP/1.1\r\nx-filler: "
+                    + b"a" * MAX_HEAD_BYTES + b"\r\n\r\n"
+                )
+                await writer.drain()
+                return await _read_response(reader)
+            finally:
+                await _close(writer)
+
+        status, headers, body = _over_socket(service, exchange)
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"] == "headers_too_large"
