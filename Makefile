@@ -7,19 +7,15 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-concurrency typecheck test perfbench-selftest \
+.PHONY: lint typecheck test perfbench-selftest \
 	perfbench-digests fig02-check fig04-check bench-quick serve-bench \
 	bench-cluster coverage check
 
 ## Both lint passes (determinism REP001-REP006 + concurrency
-## REP101-REP105) over the source tree.
+## REP101-REP103, REP105) over the source tree; the same command line
+## as `repro lint`.
 lint:
 	$(PY) -m repro.devtools.lint src
-
-## Concurrency pass alone (guarded-by discipline, task lifetime,
-## blocking-in-async, shard-write disjointness, dropped futures).
-lint-concurrency:
-	$(PY) -m repro.devtools.concurrency src
 
 ## Strict mypy on repro.marketplace + repro.geo + repro.parallel +
 ## repro.service + repro.devtools (config in pyproject).

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.marketplace.clock import SECONDS_PER_DAY
 
@@ -25,33 +25,6 @@ class DiurnalStats:
 
     hourly_mean: Dict[int, float]
     hourly_count: Dict[int, int]
-
-    def peak_hour(self) -> int:
-        return max(self.hourly_mean, key=lambda h: self.hourly_mean[h])
-
-    def trough_hour(self) -> int:
-        return min(self.hourly_mean, key=lambda h: self.hourly_mean[h])
-
-    def day_night_ratio(
-        self,
-        day_hours: Tuple[int, int] = (8, 20),
-        night_hours: Tuple[int, int] = (1, 5),
-    ) -> float:
-        """Mean daytime level over mean deep-night level."""
-        day = [
-            v for h, v in self.hourly_mean.items()
-            if day_hours[0] <= h < day_hours[1]
-        ]
-        night = [
-            v for h, v in self.hourly_mean.items()
-            if night_hours[0] <= h < night_hours[1]
-        ]
-        if not day or not night:
-            raise ValueError("not enough hours covered for the ratio")
-        night_mean = statistics.mean(night)
-        if night_mean == 0:
-            return float("inf")
-        return statistics.mean(day) / night_mean
 
 
 def diurnal_stats(
@@ -101,13 +74,3 @@ def rush_hour_lift(
     if overall == 0:
         return float("inf")
     return statistics.mean(rush_values) / overall
-
-
-def interval_series_to_samples(
-    per_interval: Dict[int, float], interval_s: float = 300.0
-) -> List[Tuple[float, float]]:
-    """Adapt a per-interval dict to the ``(t, value)`` sample shape."""
-    return [
-        (idx * interval_s + interval_s / 2.0, value)
-        for idx, value in sorted(per_interval.items())
-    ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.marketplace.types import CarType
 from repro.analysis.cleaning import CarTrack
 
 
@@ -30,13 +29,3 @@ def lifespans_by_group(
         target = low_cost if track.car_type.is_low_cost else other
         target.append(track.lifespan_s)
     return low_cost, other
-
-
-def lifespans_by_type(
-    tracks: Dict[str, CarTrack],
-) -> Dict[CarType, List[float]]:
-    """Lifespans (seconds) per car type."""
-    result: Dict[CarType, List[float]] = {}
-    for track in tracks.values():
-        result.setdefault(track.car_type, []).append(track.lifespan_s)
-    return result

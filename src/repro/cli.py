@@ -18,8 +18,8 @@ Four subcommands mirror the study's workflow:
   process-pool sweep either way;
 * ``lint``     — static analysis over the source tree: the determinism
   rules (REP001-REP006) plus the concurrency/async hazard rules
-  (REP101-REP105); text, ``--format json``, or ``--format sarif``
-  reports, ``--explain REPxxx`` for rule docs; see
+  (REP101-REP103, REP105); text, ``--format json``, or ``--format
+  sarif`` reports, ``--explain REPxxx`` for rule docs; see
   ``docs/static_analysis.md``.
 
 Examples::
@@ -559,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         add_help=False,
         help="static analysis: determinism (REP001-REP006) and "
-             "concurrency/async hazards (REP101-REP105); "
+             "concurrency/async hazards (REP101-REP103, REP105); "
              "`repro lint --help` lists its options",
     )
     return parser

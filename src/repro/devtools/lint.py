@@ -1,19 +1,18 @@
 """The lint driver: file discovery, suppressions, reporting.
 
-Two analysis passes share this driver: the determinism rules
+Every run applies both analysis passes: the determinism rules
 (REP001-REP006, ``repro.devtools.rules``) and the concurrency/async
-hazard rules (REP101-REP105, ``repro.devtools.concurrency``).  Run it
-three ways::
+hazard rules (REP101-REP103 and REP105, ``repro.devtools.concurrency``).
+One command line, :func:`run_cli`, serves both ways of starting it::
 
-    repro lint src/                       # CLI subcommand (both passes)
-    python -m repro.devtools.lint src/    # module entry point
+    repro lint src/                       # CLI subcommand
+    python -m repro.devtools.lint src/    # module entry point (make lint)
     run_lint(["src"])                     # library API (the tier-1 gate)
 
-plus ``python -m repro.devtools.concurrency`` / ``make
-lint-concurrency`` for the concurrency pass alone.  Reports come as
-text, ``--format json``, or ``--format sarif`` (SARIF 2.1.0, uploaded
-by CI so findings annotate PRs inline); ``--explain REPxxx`` prints a
-rule's catalogue entry from ``docs/static_analysis.md``.
+Reports come as text, ``--format json``, or ``--format sarif`` (SARIF
+2.1.0, uploaded by CI so findings annotate PRs inline); ``--explain
+REPxxx`` prints a rule's catalogue entry from
+``docs/static_analysis.md``.
 
 Suppressions are inline comments on the reported line::
 
@@ -52,10 +51,8 @@ from repro.devtools.rules import (
     Rule,
 )
 
-#: Both analysis passes: determinism (REP001-REP006) + concurrency
-#: (REP101-REP105).  `repro lint` runs everything; the standalone
-#: concurrency entry point (`make lint-concurrency`) passes
-#: CONCURRENCY_RULES alone.
+#: Both analysis passes, in code order: determinism (REP001-REP006) +
+#: concurrency (REP101-REP103, REP105).
 ALL_LINT_RULES: List[Type[Rule]] = list(ALL_RULES) + list(
     CONCURRENCY_RULES
 )
@@ -199,14 +196,9 @@ def find_flag_matrix_text(start: Path) -> Optional[str]:
     return None
 
 
-def lint_file(
-    path: Path,
-    project: ProjectContext,
-    rules: Optional[Sequence[Rule]] = None,
-    display_path: Optional[str] = None,
-) -> List[Finding]:
+def lint_file(path: Path, project: ProjectContext) -> List[Finding]:
     """Lint one file; suppression handling included."""
-    display = display_path if display_path is not None else str(path)
+    display = str(path)
     source = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(source, filename=str(path))
@@ -228,15 +220,9 @@ def lint_file(
         source=source,
         project=project,
     )
-    active_rules = (
-        list(rules)
-        if rules is not None
-        else [r() for r in ALL_LINT_RULES]
-    )
-    active_codes = {rule.code for rule in active_rules}
     suppressions = _parse_suppressions(source)
     findings: List[Finding] = []
-    for rule in active_rules:
+    for rule in (r() for r in ALL_LINT_RULES):
         for raw in rule.check(module):
             sup = suppressions.get(raw.line)
             if sup is not None and rule.code in sup.codes:
@@ -277,14 +263,7 @@ def lint_file(
                 )
             )
     for sup in suppressions.values():
-        # Only codes the active rule set could have produced count as
-        # stale: the concurrency-only pass must not flag a justified
-        # REP004 suppression it never evaluated.
-        stale = [
-            code
-            for code in sup.codes
-            if code not in sup.used_codes and code in active_codes
-        ]
+        stale = [code for code in sup.codes if code not in sup.used_codes]
         for code in stale:
             findings.append(
                 Finding(
@@ -306,18 +285,15 @@ def lint_file(
 def run_lint(
     paths: Sequence[object],
     flag_matrix_text: Optional[str] = "auto",
-    rules: Optional[Sequence[Type[Rule]]] = None,
 ) -> LintResult:
-    """Lint every .py file under *paths*.
+    """Lint every .py file under *paths* with both passes.
 
     *flag_matrix_text* is ``"auto"`` (discover the project's matrix test
     files by walking up to pyproject.toml), ``None`` (REP006 skips its
-    matrix check), or explicit text.  *rules* selects the rule classes
-    to run (default: both passes, ``ALL_LINT_RULES``).
+    matrix check), or explicit text.
     """
     roots = [Path(p) for p in paths]
     files = iter_python_files(roots)
-    rule_classes = ALL_LINT_RULES if rules is None else list(rules)
     result = LintResult()
     for path in files:
         if flag_matrix_text == "auto":
@@ -325,10 +301,7 @@ def run_lint(
         else:
             matrix = flag_matrix_text  # type: ignore[assignment]
         project = ProjectContext(flag_matrix_text=matrix)
-        instances = [r() for r in rule_classes]
-        result.findings.extend(
-            lint_file(path, project, rules=instances)
-        )
+        result.findings.extend(lint_file(path, project))
         result.files_checked += 1
     return result
 
@@ -459,34 +432,25 @@ def explain_rule(code: str) -> Optional[str]:
     return f"{code}: {ALL_CODE_SUMMARIES[code]}"
 
 
-def run_cli(
-    argv: Optional[Sequence[str]] = None,
-    rules: Optional[Sequence[Type[Rule]]] = None,
-    prog: str = "repro lint",
-    description: str = (
-        "Static analysis: determinism (REP001-REP006) and "
-        "concurrency/async hazards (REP101-REP105)"
-    ),
-) -> int:
-    """Shared CLI driver for both entry points.
-
-    ``python -m repro.devtools.lint`` runs every rule;
-    ``python -m repro.devtools.concurrency`` passes
-    ``rules=CONCURRENCY_RULES`` to run the concurrency pass alone.
-    """
-    parser = argparse.ArgumentParser(prog=prog, description=description)
+def run_cli(argv: Optional[Sequence[str]] = None) -> int:
+    """The lint command line: ``repro lint`` and
+    ``python -m repro.devtools.lint`` both run it."""
+    prog = "repro lint"
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description=(
+            "Static analysis: determinism (REP001-REP006) and "
+            "concurrency/async hazards (REP101-REP103, REP105)"
+        ),
+    )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default=None,
+        "--format", choices=("text", "json", "sarif"), default="text",
         dest="fmt",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="shorthand for --format json",
     )
     parser.add_argument(
         "--output", metavar="FILE",
@@ -515,14 +479,6 @@ def run_cli(
         print(entry)
         return 0
 
-    if args.fmt and args.as_json and args.fmt != "json":
-        print(
-            f"{prog}: --json conflicts with --format {args.fmt}",
-            file=sys.stderr,
-        )
-        return 2
-    fmt = args.fmt or ("json" if args.as_json else "text")
-
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         print(
@@ -530,10 +486,10 @@ def run_cli(
             file=sys.stderr,
         )
         return 2
-    result = run_lint(args.paths, rules=rules)
-    if fmt == "json":
+    result = run_lint(args.paths)
+    if args.fmt == "json":
         report = render_json(result)
-    elif fmt == "sarif":
+    elif args.fmt == "sarif":
         report = render_sarif(result)
     else:
         report = render_text(
@@ -546,9 +502,5 @@ def run_cli(
     return 1 if result.active else 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_cli(argv)
-
-
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())
+    sys.exit(run_cli())

@@ -6,11 +6,8 @@ The concurrency pass needs facts the determinism rules never did:
   ``# guarded-by: <lock>`` annotation grammar, parsed here);
 * which locks are held at a given AST node (``with self._lock:``
   context tracking, threaded through :func:`nodes_with_guards`);
-* which local names inside a worker function derive from its
-  parameters (the REP104 disjoint-write contract — row indices must
-  flow from the shard's own task arguments);
-* which functions in a module are dispatched to ``ShardPool`` /
-  executor workers at all (:func:`worker_functions`).
+* which nodes belong to a function's own body, not to a nested ``def``
+  (:func:`_own_nodes`, shared by REP102, REP103 and REP105).
 
 Everything here is a pure AST/tokenize walk: linting a file never
 imports or executes it.
@@ -215,97 +212,6 @@ def nodes_with_guards(
         yield from visit(child, initial)
 
 
-def param_names(fn: AnyFunctionDef) -> Set[str]:
-    """Every parameter name of *fn* (excluding ``self``/``cls``)."""
-    args = fn.args
-    names = {
-        a.arg
-        for a in (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-        )
-    }
-    for star in (args.vararg, args.kwarg):
-        if star is not None:
-            names.add(star.arg)
-    names.discard("self")
-    names.discard("cls")
-    return names
-
-
-def param_derived(fn: AnyFunctionDef) -> Set[str]:
-    """Names transitively derived from *fn*'s parameters.
-
-    Fixpoint over the function's own assignments (nested ``def``s
-    excluded): a local joins the set when its right-hand side mentions
-    any name already in it.  ``done = mv[arrive]`` is derived via
-    ``mv``; ``idx = np.arange(n)`` is not (unless ``n`` is).  This is
-    deliberately generous — over-approximating "derived" only relaxes
-    the REP104 index check, it never invents a finding.
-    """
-    derived = param_names(fn)
-    own = list(_own_nodes(fn))
-    changed = True
-    while changed:
-        changed = False
-        for node in own:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            elif isinstance(node, ast.AugAssign):
-                targets, value = [node.target], node.value
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                targets, value = [node.target], node.iter
-            if value is None:
-                continue
-            if not any(
-                isinstance(sub, ast.Name) and sub.id in derived
-                for sub in ast.walk(value)
-            ):
-                continue
-            for target in targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name) and sub.id not in derived:
-                        derived.add(sub.id)
-                        changed = True
-    return derived
-
-
-def attribute_aliases(fn: AnyFunctionDef) -> Set[str]:
-    """Locals that alias an attribute object (``st = self.state``).
-
-    A plain attribute alias still points at shared memory, so writes
-    through it are shared writes.  A *subscripted* right-hand side
-    (``la = lat[mv]`` — numpy fancy indexing) allocates a fresh copy
-    and is not an alias.  Attribute chains behind a call
-    (``buf = self.ring().base``) are treated as aliases too, erring
-    toward shared.
-    """
-    aliases: Set[str] = set()
-    changed = True
-    own = list(_own_nodes(fn))
-    while changed:
-        changed = False
-        for node in own:
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            is_alias = isinstance(value, ast.Attribute) or (
-                isinstance(value, ast.Name) and value.id in aliases
-            )
-            if not is_alias:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id not in aliases:
-                    aliases.add(target.id)
-                    changed = True
-    return aliases
-
-
 def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested ``def``s."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
@@ -318,86 +224,3 @@ def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
             continue
         stack.extend(ast.iter_child_nodes(node))
 
-
-# ----------------------------------------------------------------------
-# Worker-function discovery (REP104)
-# ----------------------------------------------------------------------
-def _defs_by_name(tree: ast.Module) -> Dict[str, List[AnyFunctionDef]]:
-    out: Dict[str, List[AnyFunctionDef]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.setdefault(node.name, []).append(node)
-    return out
-
-
-def _callable_name(expr: ast.expr) -> Optional[str]:
-    """The bare name a callable reference resolves to in this module.
-
-    ``self._move_rows`` / ``fleet._move_rows`` / ``_move_rows`` all
-    resolve to ``"_move_rows"``; lambdas and partials resolve to
-    nothing (their bodies are checked where they are written, which is
-    inside the dispatching function — good enough).
-    """
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
-def worker_functions(tree: ast.Module) -> List[AnyFunctionDef]:
-    """Functions dispatched to ``ShardPool``/executor *threads*.
-
-    Seeds: the first argument of every ``.map_ordered(fn, tasks)`` call
-    and the second argument of every ``.run_in_executor(executor, fn,
-    ...)`` call.  The closure then follows plain ``helper(...)`` /
-    ``self.helper(...)`` calls inside worker bodies to other functions
-    defined in the same module — ``_move_rows`` pulls ``_ring_append``
-    into the checked set.
-
-    ``.submit`` is deliberately *not* a seed: the orchestrator submits
-    whole campaigns to a ``ProcessPoolExecutor``, whose workers do not
-    share memory, so the disjoint-write contract does not apply there.
-    """
-    by_name = _defs_by_name(tree)
-    seeds: List[AnyFunctionDef] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        target: Optional[ast.expr] = None
-        if func.attr == "map_ordered" and node.args:
-            target = node.args[0]
-        elif func.attr == "run_in_executor" and len(node.args) >= 2:
-            target = node.args[1]
-        if target is None:
-            continue
-        name = _callable_name(target)
-        if name is not None:
-            seeds.extend(by_name.get(name, []))
-
-    workers: List[AnyFunctionDef] = []
-    visited: Set[int] = set()
-    queue = list(seeds)
-    while queue:
-        fn = queue.pop()
-        if id(fn) in visited:
-            continue
-        visited.add(id(fn))
-        workers.append(fn)
-        for node in _own_nodes(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _callable_name(node.func)
-            if name is None:
-                continue
-            tokens = attr_tokens(node.func)
-            # Only follow module-local calls: bare names and self.X.
-            if isinstance(node.func, ast.Attribute) and (
-                not tokens or tokens[0] != "self"
-            ):
-                continue
-            queue.extend(by_name.get(name, []))
-    return workers

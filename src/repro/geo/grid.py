@@ -31,10 +31,6 @@ class GridSpec:
     spacing_m: float
     points: Tuple[LatLon, ...]
 
-    @property
-    def client_count(self) -> int:
-        return len(self.points)
-
 
 def _cover(
     region: Polygon,
@@ -125,8 +121,9 @@ def coverage_fraction(
     """Fraction of region sample points within radius of some client.
 
     A Monte-Carlo-free estimate on a regular lattice of
-    ``samples_per_axis**2`` candidate points clipped to the region; used by
-    tests and the placement ablation bench.
+    ``samples_per_axis**2`` candidate points clipped to the region: the
+    tests' coverage oracle for :func:`grid_cover` and
+    :func:`hex_grid_cover`.
     """
     box = spec.region.bounding_box
     height = box.height_m()

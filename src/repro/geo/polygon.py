@@ -77,18 +77,6 @@ class BoundingBox:
         """North-south extent in metres."""
         return math.radians(self.north - self.south) * EARTH_RADIUS_M
 
-    def expand(self, margin_m: float) -> "BoundingBox":
-        """Box grown by *margin_m* metres on every side."""
-        dlat = math.degrees(margin_m / EARTH_RADIUS_M)
-        mid = math.radians((self.south + self.north) / 2.0)
-        dlon = math.degrees(margin_m / (EARTH_RADIUS_M * math.cos(mid)))
-        return BoundingBox(
-            self.south - dlat,
-            self.west - dlon,
-            self.north + dlat,
-            self.east + dlon,
-        )
-
     def to_polygon(self) -> "Polygon":
         return Polygon(list(self.corners))
 
@@ -145,14 +133,6 @@ class Polygon:
             w = verts[(i + 1) % len(verts)]
             total += v.lon * w.lat - w.lon * v.lat
         return total / 2.0
-
-    def area_m2(self) -> float:
-        """Approximate area in square metres (local flat-plane metric)."""
-        mid = math.radians(
-            (self._bbox.south + self._bbox.north) / 2.0
-        )
-        deg = math.radians(1.0) * EARTH_RADIUS_M
-        return abs(self.signed_area_deg2()) * deg * deg * math.cos(mid)
 
     def centroid(self) -> LatLon:
         """Area-weighted centroid (falls back to vertex mean if degenerate)."""

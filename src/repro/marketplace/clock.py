@@ -14,11 +14,6 @@ from dataclasses import dataclass, field
 SECONDS_PER_DAY = 86_400
 SECONDS_PER_HOUR = 3_600
 
-#: Rush-hour windows used by the Rush forecasting model (§5.4):
-#: 6am-10am and 4pm-8pm.
-MORNING_RUSH = (6.0, 10.0)
-EVENING_RUSH = (16.0, 20.0)
-
 
 @dataclass
 class SimClock:
@@ -69,15 +64,6 @@ class SimClock:
         """Fractional hour within the current day, in [0, 24)."""
         return (self.now % SECONDS_PER_DAY) / SECONDS_PER_HOUR
 
-    @property
-    def is_rush_hour(self) -> bool:
-        """Inside either rush window (§5.4's Rush model definition)."""
-        h = self.hour_of_day
-        return (
-            MORNING_RUSH[0] <= h < MORNING_RUSH[1]
-            or EVENING_RUSH[0] <= h < EVENING_RUSH[1]
-        )
-
     def interval_index(self, interval_seconds: float = 300.0) -> int:
         """Index of the current fixed-length interval (5-minute default).
 
@@ -86,17 +72,9 @@ class SimClock:
         """
         return int(self.now // interval_seconds)
 
-    def seconds_into_interval(self, interval_seconds: float = 300.0) -> float:
-        return self.now % interval_seconds
-
     def copy(self) -> "SimClock":
         return SimClock(
             start_weekday=self.start_weekday,
             tick_seconds=self.tick_seconds,
             now=self.now,
         )
-
-
-def hour_to_seconds(hour: float) -> float:
-    """Convert a fractional hour-of-day to seconds-of-day."""
-    return hour * SECONDS_PER_HOUR

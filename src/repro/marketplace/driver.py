@@ -141,10 +141,6 @@ class Driver:
             self.path.clear()
 
     @property
-    def is_online(self) -> bool:
-        return self.state is not DriverState.OFFLINE
-
-    @property
     def is_dispatchable(self) -> bool:
         """Idle online drivers are the only ones dispatch may book."""
         return self.state is DriverState.IDLE
@@ -236,12 +232,6 @@ class Driver:
             north_m=rng.gauss(0.0, 5.0), east_m=rng.gauss(0.0, 5.0)
         )
 
-    def path_vector(self) -> Tuple[Tuple[float, LatLon], ...]:
-        """Recent movement trace as exposed through `pingClient`."""
-        return tuple(
-            (t, LatLon(lat, lon)) for t, lat, lon in self.path_triples()
-        )
-
     def path_triples(self) -> Tuple[Tuple[float, float, float], ...]:
         """The path as flat ``(t, lat, lon)`` triples.
 
@@ -261,7 +251,7 @@ class Driver:
 # is the only copy of every car's position, path ring and movement state.
 # Attaching a driver to it makes `location` a data descriptor that reads
 # the driver's row on every access and writes assignments into it, and
-# the path accessors above read the row's ring; nothing is cached on the
+# `path_triples` above reads the row's ring; nothing is cached on the
 # object, so there is nothing to sync.  The row is `driver_id - 1`
 # (FleetArray enforces contiguous ids), so the object stores no index.
 # Detached drivers (`_fleet is None` -- the oracle's step path and

@@ -19,7 +19,7 @@ difficult to systematically collect price information", §3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.geo.latlon import LatLon
 from repro.marketplace.config import CityConfig
@@ -113,11 +113,3 @@ class DriverSetPricingEngine(MarketplaceEngine):
                     driver.personal_rate = max(
                         p.floor, driver.personal_rate - p.step
                     )
-
-    def rate_distribution(
-        self, car_type: CarType = CarType.UBERX
-    ) -> List[float]:
-        """Current personal rates of idle drivers (for analysis)."""
-        return [
-            d.personal_rate for d in self.idle_drivers(car_type)
-        ]

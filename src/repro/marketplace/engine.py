@@ -162,7 +162,7 @@ class MarketplaceEngine:
         # Vectorized fleet stepping (structure-of-arrays; see
         # repro.marketplace.fleet_array).  The FleetArray becomes the only
         # copy of every car's position, path ring and movement state:
-        # attached drivers' `location` and path accessors read through
+        # attached drivers' `location` and `path_triples` read through
         # to their rows.
         self._vec: Optional[FleetArray] = None
         if use_vectorized_step:
@@ -511,11 +511,6 @@ class MarketplaceEngine:
         level = 1.0 + p.rho * (self._burst_level - 1.0)
         level += self._burst_rng.gauss(0.0, p.sigma)
         self._burst_level = min(max(level, p.floor), p.cap)
-
-    @property
-    def burst_level(self) -> float:
-        """The current exogenous demand multiplier (events/weather)."""
-        return self._burst_level
 
     def _generate_and_dispatch(self, now: float, dt: float) -> None:
         requests = self.demand.generate(

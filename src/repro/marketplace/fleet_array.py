@@ -230,7 +230,7 @@ class FleetArray:
         the last reset (none while offline).
 
         One gather serves any number of rows: the round's served rows in
-        :meth:`round_nearest`, or a single row for the path accessors of
+        :meth:`round_nearest`, or a single row for ``path_triples`` of
         an attached ``Driver``.
         """
         idx = np.asarray(rows, dtype=np.int64)

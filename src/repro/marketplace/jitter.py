@@ -106,15 +106,3 @@ class JitterBug:
             return False
         offset = now % self.params.interval_s
         return window[0] <= offset < window[1]
-
-    def disabled(self) -> "JitterBug":
-        """A copy of this bug with probability 0 (the API datastream)."""
-        return JitterBug(
-            JitterParams(
-                probability=0.0,
-                min_duration_s=self.params.min_duration_s,
-                max_duration_s=self.params.max_duration_s,
-                interval_s=self.params.interval_s,
-            ),
-            seed=self.seed,
-        )

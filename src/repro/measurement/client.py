@@ -61,10 +61,6 @@ class MeasurementClient:
                 cars[car.car_id] = (car.location.lat, car.location.lon)
         return samples, cars
 
-    def walk_to(self, location: LatLon) -> None:
-        """Report a new geolocation from now on."""
-        self.location = location
-
     def walk_by(self, north_m: float, east_m: float) -> None:
         """Displace the reported geolocation by metres north/east."""
         self.location = self.location.offset(north_m, east_m)

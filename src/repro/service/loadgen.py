@@ -52,6 +52,15 @@ def _parse_head(head: bytes) -> Tuple[int, Dict[str, str]]:
     return status, headers
 
 
+async def _close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close a connection and wait until its socket is released."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, BrokenPipeError):
+        pass
+
+
 async def http_get(
     host: str,
     port: int,
@@ -76,11 +85,7 @@ async def http_get(
         body = await reader.readexactly(length) if length else b""
         return HttpResponse(status, head_map, body)
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):
-            pass
+        await _close_writer(writer)
 
 
 class WebSocketClient:
@@ -119,7 +124,7 @@ class WebSocketClient:
         head = await reader.readuntil(b"\r\n\r\n")
         status, _ = _parse_head(head)
         if status != 101:
-            writer.close()
+            await _close_writer(writer)
             raise ConnectionError(
                 f"websocket handshake refused: HTTP {status}"
             )
@@ -169,11 +174,7 @@ class WebSocketClient:
             await self._writer.drain()
         except (ConnectionError, BrokenPipeError):
             pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):
-            pass
+        await _close_writer(self._writer)
 
 
 __all__: List[str] = ["HttpResponse", "WebSocketClient", "http_get"]

@@ -195,3 +195,13 @@ class TestForecastFitting:
         assert not is_rush_interval(int(2 * 12))   # 2 am
         # Day boundaries wrap.
         assert is_rush_interval(int((24 + 7) * 12))
+
+    @pytest.mark.parametrize(
+        "hour,expected",
+        [(5.9, False), (6.0, True), (9.9, True), (10.0, False),
+         (15.9, False), (16.0, True), (19.9, True), (20.0, False)],
+    )
+    def test_rush_hour_windows(self, hour, expected):
+        # Six-minute intervals put each edge on an interval start.
+        index = round(hour * 10)
+        assert is_rush_interval(index, interval_s=360.0) is expected

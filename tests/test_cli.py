@@ -260,7 +260,7 @@ class TestLintCommand:
             "def stamp() -> float:\n"
             "    return time.time()\n"
         )
-        rc = main(["lint", "--json", str(dirty)])
+        rc = main(["lint", "--format", "json", str(dirty)])
         assert rc == 1
         payload = jsonlib.loads(capsys.readouterr().out)
         assert payload["files_checked"] == 1
@@ -350,13 +350,6 @@ class TestLintCommand:
         rc = main(["lint", "--explain", "REP999"])
         assert rc == 2
         assert "unknown rule code" in capsys.readouterr().err
-
-    def test_json_format_conflict_rejected(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        rc = main(["lint", "--json", "--format", "sarif", str(clean)])
-        assert rc == 2
-        assert "conflicts" in capsys.readouterr().err
 
     def test_help_lists_the_lint_options(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

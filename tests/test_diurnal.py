@@ -8,7 +8,6 @@ from repro.marketplace.clock import SECONDS_PER_DAY
 from repro.analysis.diurnal import (
     DiurnalStats,
     diurnal_stats,
-    interval_series_to_samples,
     rush_hour_lift,
 )
 
@@ -29,13 +28,17 @@ def sinusoidal_samples(days=3, step_s=600.0, phase_hour=14.0):
 
 class TestDiurnalStats:
     def test_peak_and_trough(self):
-        stats = diurnal_stats(sinusoidal_samples())
-        assert stats.peak_hour() == 14
-        assert stats.trough_hour() == 2
+        mean = diurnal_stats(sinusoidal_samples()).hourly_mean
+        assert max(mean, key=mean.__getitem__) == 14
+        assert min(mean, key=mean.__getitem__) == 2
 
     def test_day_night_ratio(self):
-        stats = diurnal_stats(sinusoidal_samples())
-        assert stats.day_night_ratio() > 1.5
+        mean = diurnal_stats(sinusoidal_samples()).hourly_mean
+        # Every daytime hour (8-20) reads well above every deep-night
+        # hour (1-5).
+        day = [mean[h] for h in range(8, 20)]
+        night = [mean[h] for h in range(1, 5)]
+        assert min(day) > 1.5 * max(night)
 
     def test_counts_cover_all_hours(self):
         stats = diurnal_stats(sinusoidal_samples())
@@ -101,8 +104,3 @@ class TestRushHourLift:
         stats = diurnal_stats(samples)
         assert rush_hour_lift(stats) == pytest.approx(1.0)
 
-
-class TestIntervalAdapter:
-    def test_adapts_indices_to_times(self):
-        samples = interval_series_to_samples({0: 1.0, 2: 3.0})
-        assert samples == [(150.0, 1.0), (750.0, 3.0)]

@@ -44,7 +44,7 @@ class TestSessionLifecycle:
         d.come_online(now=0.0, session_seconds=3600.0, rng=rng)
         assert d.state is DriverState.IDLE
         assert d.session_token
-        assert d.is_online and d.is_dispatchable
+        assert d.is_dispatchable
         assert d.planned_offline_at == 3600.0
 
     def test_tokens_differ_across_sessions(self):
@@ -146,7 +146,7 @@ class TestPathVector:
         d.come_online(0.0, 7200.0, rng)
         for i in range(20):
             d.step(5.0 * (i + 1), 5.0, rng)
-        assert len(d.path_vector()) == PATH_VECTOR_LEN
+        assert len(d.path_triples()) == PATH_VECTOR_LEN
 
     def test_path_cleared_on_offline(self):
         rng = random.Random(0)
@@ -162,7 +162,7 @@ class TestPathVector:
         d.come_online(0.0, 7200.0, rng)
         for i in range(10):
             d.step(5.0 * (i + 1), 5.0, rng)
-        times = [t for t, _ in d.path_vector()]
+        times = [t for t, _, _ in d.path_triples()]
         assert times == sorted(times)
 
 

@@ -62,13 +62,13 @@ class TestPricingPath:
 class TestRateDynamics:
     def test_rates_stay_in_bounds(self, engine):
         p = engine.pricing
-        rates = engine.rate_distribution(CarType.UBERX)
+        rates = [d.personal_rate for d in engine.idle_drivers(CarType.UBERX)]
         assert rates
         assert all(p.floor <= r <= p.cap for r in rates)
 
     def test_rates_diversify_over_time(self, engine):
         """A busy market pushes some rates up and some down."""
-        rates = engine.rate_distribution(CarType.UBERX)
+        rates = [d.personal_rate for d in engine.idle_drivers(CarType.UBERX)]
         assert len(set(rates)) > 1
 
     def test_busy_drivers_raise_idle_drivers_cut(self):

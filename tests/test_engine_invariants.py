@@ -83,7 +83,7 @@ class TestEngineInvariants:
         levels = []
         for _ in range(40):
             engine.run(300.0)
-            levels.append(engine.burst_level)
+            levels.append(engine._burst_level)
         p = engine.config.burst
         assert all(p.floor <= level <= p.cap for level in levels)
         # The process moves (it is not stuck at 1).

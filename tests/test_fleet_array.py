@@ -69,14 +69,14 @@ def assert_drivers_identical(vector, scalar) -> None:
     """Every ``compare=True`` field of every driver agrees.
 
     ``Driver`` compares by identity, so this spells the comparison out.
-    ``path`` is read through ``path_vector()``: an array-attached
+    ``path`` is read through ``path_triples()``: an array-attached
     driver's path lives in its fleet's ring, not in the deque.
     """
     assert len(vector) == len(scalar)
     for v, s in zip(vector, scalar):
         for name in _DRIVER_FIELDS:
             if name == "path":
-                got, want = v.path_vector(), s.path_vector()
+                got, want = v.path_triples(), s.path_triples()
             else:
                 got, want = getattr(v, name), getattr(s, name)
             assert got == want, (s.driver_id, name, got, want)
@@ -209,10 +209,6 @@ def test_ring_buffer_matches_deque_semantics():
             # The next append evicts the oldest entry.
             assert len(triples) == PATH_VECTOR_LEN
             assert triples[0][0] == 1.0
-        # The LatLon accessor reads the same ring.
-        assert tuple(
-            (t, p.lat, p.lon) for t, p in d.path_vector()
-        ) == triples
 
 
 def test_ring_reset_after_wrap_starts_fresh():
@@ -350,9 +346,8 @@ def test_nearest_ties_break_by_driver_id_at_the_cut():
 
 def test_attached_driver_reads_through_to_its_row():
     """An attached driver keeps no copy of its position or path: rows
-    moved in the arrays show up in ``location``, ``path_vector()`` and
-    ``path_triples()`` with no sync step, and a ``location`` write lands
-    in the arrays."""
+    moved in the arrays show up in ``location`` and ``path_triples()``
+    with no sync step, and a ``location`` write lands in the arrays."""
     import random
 
     import numpy as np
@@ -369,12 +364,11 @@ def test_attached_driver_reads_through_to_its_row():
     assert d.location == LatLon(40.7099, -74.0001)
     fleet._ring_append(np.array([0]), 5.0)
     assert d.path_triples()[-1] == (5.0, 40.7099, -74.0001)
-    assert d.path_vector()[-1] == (5.0, LatLon(40.7099, -74.0001))
     fleet.lat[0] = 40.7098
     fleet._ring_append(np.array([0]), 10.0)
     assert d.location.lat == 40.7098
     assert d.path_triples()[-1] == (10.0, 40.7098, -74.0001)
-    assert len(d.path_vector()) == 3
+    assert len(d.path_triples()) == 3
     # Object-side write lands in the arrays.
     d.location = LatLon(40.701, -74.002)
     assert fleet.lat[0] == 40.701

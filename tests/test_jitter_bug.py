@@ -28,12 +28,6 @@ class TestJitterBug:
             bug.is_stale("acct", t) for t in range(0, 3000, 5)
         )
 
-    def test_disabled_copy(self):
-        bug = JitterBug(JitterParams(probability=0.9), seed=3)
-        clean = bug.disabled()
-        assert clean.params.probability == 0.0
-        assert not any(clean.is_stale("a", t) for t in range(0, 3000, 5))
-
     def test_deterministic_per_account_interval(self):
         bug1 = JitterBug(JitterParams(probability=0.5), seed=1)
         bug2 = JitterBug(JitterParams(probability=0.5), seed=1)

@@ -1,10 +1,10 @@
 """Per-rule tests for the static analysis passes.
 
 Both series are covered: the determinism rules (REP001-REP006) and the
-concurrency/async hazard rules (REP101-REP105).  Every rule gets a
-paired fire / no-fire fixture under ``tests/lint_fixtures/``; the
-catalogue in ``docs/static_analysis.md`` and the combined rule registry
-must stay in one-to-one correspondence.
+concurrency/async hazard rules (REP101-REP103, REP105).  Every rule
+gets a paired fire / no-fire fixture under ``tests/lint_fixtures/``;
+the catalogue in ``docs/static_analysis.md`` and the combined rule
+registry must stay in one-to-one correspondence.
 """
 
 import re
@@ -47,7 +47,6 @@ FIRE_EXPECTATIONS = {
     "REP101": ("rep101_fire.py", 3),
     "REP102": ("rep102_fire.py", 2),
     "REP103": ("service/rep103_fire.py", 4),
-    "REP104": ("rep104_fire.py", 4),
     "REP105": ("rep105_fire.py", 3),
 }
 
@@ -61,7 +60,6 @@ OK_FIXTURES = {
     "REP101": "rep101_ok.py",
     "REP102": "rep102_ok.py",
     "REP103": "service/rep103_ok.py",
-    "REP104": "rep104_ok.py",
     "REP105": "rep105_ok.py",
 }
 
@@ -229,21 +227,6 @@ def test_rep103_only_scopes_service_paths(tmp_path):
     assert lint_codes(f) == []
 
 
-def test_rep104_only_checks_dispatched_functions(tmp_path):
-    f = tmp_path / "plainwrites.py"
-    f.write_text(
-        "class F:\n"
-        "    def __init__(self, arr):\n"
-        "        self.arr = arr\n"
-        "    def reset(self):\n"
-        "        self.arr[:] = 0\n"
-        "        self.count = 0\n"
-    )
-    # reset() is never handed to map_ordered/run_in_executor, so its
-    # whole-array write is the single-threaded owner's business.
-    assert lint_codes(f) == []
-
-
 def test_rep105_submit_on_non_executor_receiver_ignored(tmp_path):
     f = tmp_path / "notpool.py"
     f.write_text(
@@ -293,20 +276,6 @@ def test_stale_suppression_names_each_unused_code(tmp_path):
     assert [x.code for x in result.active] == [META_CODE]
     assert "REP002" in result.active[0].message
     assert "REP004" not in result.active[0].message
-
-
-def test_concurrency_only_pass_ignores_foreign_suppressions(tmp_path):
-    f = tmp_path / "justified.py"
-    f.write_text(
-        "import math\n"
-        "def d(a, b):\n"
-        "    return math.hypot(a, b)"
-        "  # repro: noqa=REP004 -- circular stats, no numpy mirror\n"
-    )
-    # The concurrency pass never evaluates REP004, so it must not call
-    # the suppression stale.
-    result = run_lint([f], rules=CONCURRENCY_RULES)
-    assert result.findings == []
 
 
 def test_unparseable_file_reports_meta(tmp_path):

@@ -126,7 +126,9 @@ def test_receive_text_raises_on_server_close_frame():
         await server_writer.drain()
         with pytest.raises(ConnectionError, match="server sent close"):
             await client.receive_text()
+        await client.close()
         server_writer.close()
+        await server_writer.wait_closed()
 
     asyncio.run(main())
 
@@ -135,8 +137,10 @@ def test_receive_text_raises_on_abrupt_stream_end():
     async def main():
         client, _, server_writer = await _ws_pair()
         server_writer.close()
+        await server_writer.wait_closed()
         with pytest.raises(ConnectionError, match="closed the stream"):
             await client.receive_text()
+        await client.close()
 
     asyncio.run(main())
 
@@ -176,8 +180,10 @@ def test_rolling_mask_is_deterministic():
         # determinism, no RNG involved.
         other, _, other_server = await _ws_pair()
         assert other._next_mask() == first
-        server_writer.close()
-        other_server.close()
+        for ws, server in ((client, server_writer), (other, other_server)):
+            await ws.close()
+            server.close()
+            await server.wait_closed()
 
     asyncio.run(main())
 
@@ -223,6 +229,7 @@ class TestHttpGet:
             )
             await writer.drain()
             writer.close()
+            await writer.wait_closed()
 
         async def main():
             server, port = await _scripted_server(respond)
@@ -246,6 +253,7 @@ class TestHttpGet:
             writer.write(b"HTTP/1.1 204 No Content\r\n\r\n")
             await writer.drain()
             writer.close()
+            await writer.wait_closed()
 
         async def main():
             server, port = await _scripted_server(respond)
@@ -262,7 +270,11 @@ class TestHttpGet:
     def test_get_times_out_against_a_stalled_server(self):
         async def respond(reader, writer):
             await reader.readuntil(b"\r\n\r\n")
-            await asyncio.sleep(3600.0)  # never answers
+            try:
+                await asyncio.sleep(3600.0)  # never answers
+            finally:
+                writer.close()
+                await writer.wait_closed()
 
         async def main():
             server, port = await _scripted_server(respond)
@@ -285,6 +297,7 @@ class TestHttpGet:
             )
             await writer.drain()
             writer.close()
+            await writer.wait_closed()
 
         async def main():
             server, port = await _scripted_server(respond)
@@ -314,6 +327,9 @@ class TestWebSocketConnect:
             assert frame == (OP_TEXT, b"ping-me")
             writer.write(encode_frame(OP_TEXT, b"pong-you"))
             await writer.drain()
+            await read_frame(reader)  # the client's close frame
+            writer.close()
+            await writer.wait_closed()
 
         async def main():
             server, port = await _scripted_server(respond)
@@ -340,6 +356,7 @@ class TestWebSocketConnect:
             )
             await writer.drain()
             writer.close()
+            await writer.wait_closed()
 
         async def main():
             server, port = await _scripted_server(respond)

@@ -3,9 +3,9 @@
 Three layers, strongest always-on first:
 
 1. **Lint** — ``repro.devtools.lint`` (both passes: determinism
-   REP001-REP006 and concurrency REP101-REP105) over ``src/`` must
-   report zero non-suppressed findings, and every suppression must carry
-   a written justification.  Pure stdlib, so this gate always runs.
+   REP001-REP006 and concurrency REP101-REP103, REP105) over ``src/``
+   must report zero non-suppressed findings, and every suppression must
+   carry a written justification.  Pure stdlib, so this gate always runs.
 2. **Injection canaries** — deliberately planting the
    acceptance-criteria bugs must trip the gate: an unseeded
    ``random.random()`` in the engine, a ``math.hypot`` in the distance

@@ -7,7 +7,7 @@ from repro.marketplace.types import CarType
 from repro.measurement.records import CampaignLog, ClientSample, RoundRecord
 from repro.analysis.cleaning import CarTrack
 from repro.analysis.heatmap import client_heatmap, render_grid
-from repro.analysis.lifespan import lifespans_by_group, lifespans_by_type
+from repro.analysis.lifespan import lifespans_by_group
 from repro.analysis.transitions import (
     STATES,
     classify_conditions,
@@ -189,10 +189,3 @@ class TestLifespans:
         low, other = lifespans_by_group(tracks)
         assert sorted(low) == [50.0, 100.0]
         assert other == [900.0]
-
-    def test_by_type(self):
-        tracks = {
-            "x": track("x", [(0.0, 40.75, -74.0), (100.0, 40.75, -74.0)]),
-        }
-        by_type = lifespans_by_type(tracks)
-        assert by_type == {CarType.UBERX: [100.0]}

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.marketplace.clock import (
     SECONDS_PER_DAY,
+    SECONDS_PER_HOUR,
     SimClock,
-    hour_to_seconds,
 )
 from repro.marketplace.types import FARE_TABLE, CarType, FareSchedule
 
@@ -112,20 +112,10 @@ class TestSimClock:
 
     def test_hour_of_day(self):
         clock = SimClock()
-        clock.now = hour_to_seconds(13.5)
+        clock.now = 13.5 * SECONDS_PER_HOUR
         assert clock.hour_of_day == pytest.approx(13.5)
         clock.now += SECONDS_PER_DAY
         assert clock.hour_of_day == pytest.approx(13.5)
-
-    @pytest.mark.parametrize(
-        "hour,expected",
-        [(5.9, False), (6.0, True), (9.9, True), (10.0, False),
-         (15.9, False), (16.0, True), (19.9, True), (20.0, False)],
-    )
-    def test_rush_hour_windows(self, hour, expected):
-        clock = SimClock()
-        clock.now = hour_to_seconds(hour)
-        assert clock.is_rush_hour is expected
 
     def test_interval_index(self):
         clock = SimClock()
@@ -133,7 +123,6 @@ class TestSimClock:
         assert clock.interval_index() == 0
         clock.now = 300.0
         assert clock.interval_index() == 1
-        assert clock.seconds_into_interval() == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
