@@ -74,22 +74,27 @@ fig04-check:
 ## Quick perf bench: the production engine against the oracle
 ## (use_vectorized_step on/off) and batched against per-client ping
 ## serving, the production-vs-oracle bit-identity check in both
-## cities, plus the orchestrator sweep leg.
+## cities, plus the orchestrator sweep leg.  The three quick benches
+## write their JSON under the ignored .benchmarks/, so quick-mode
+## numbers never overwrite the full-mode records in benchmarks/out/.
 bench-quick:
-	$(PY) benchmarks/bench_perf_engine.py --quick
+	$(PY) benchmarks/bench_perf_engine.py --quick \
+		--out .benchmarks/BENCH_perf_engine.json
 
 ## Quick service load bench: real localhost sockets, concurrent
 ## WebSocket ping clients + REST clients against the asyncio server;
 ## checks throughput floors and the 429/Retry-After contract.
 serve-bench:
-	$(PY) benchmarks/bench_api_service.py --quick
+	$(PY) benchmarks/bench_api_service.py --quick \
+		--out .benchmarks/BENCH_api_service.json
 
 ## Quick cluster bench: the 8-campaign sweep dispatched sequentially,
 ## through the local process pool, and to 2- and 4-worker localhost
 ## clusters (real `repro worker` subprocesses over TCP), with a
 ## byte-identity cross-check of every dispatch mode's outcomes.
 bench-cluster:
-	$(PY) benchmarks/bench_sweep_cluster.py --quick
+	$(PY) benchmarks/bench_sweep_cluster.py --quick \
+		--out .benchmarks/BENCH_sweep_cluster.json
 
 ## Coverage gate (fail_under=90 on repro.marketplace + repro.parallel;
 ## needs `coverage`, which CI installs — locally it skips when absent).

@@ -17,7 +17,6 @@ import pytest
 
 from _shared import write_table
 from repro.marketplace.config import city_config
-from repro.geo.latlon import LatLon
 from repro.marketplace.driver_set import DriverSetPricingEngine
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType

@@ -13,7 +13,7 @@ from _shared import all_multiplier_samples, write_table
 from repro.marketplace.config import city_config
 from repro.marketplace.types import CarType
 from repro.analysis.supply_demand import estimate_supply_demand
-from repro.analysis.surge_stats import mean_multiplier, surge_fraction
+from repro.analysis.surge_stats import surge_fraction
 
 
 def hourly_series(log, region):

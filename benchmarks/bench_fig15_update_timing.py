@@ -4,8 +4,6 @@ Clock updates land in a tight ~35-second band at a fixed phase; jitter
 events are spread nearly uniformly across the window.
 """
 
-import statistics
-
 from _shared import write_table
 from repro.marketplace.types import CarType
 from repro.analysis.jitter import detect_jitter_events

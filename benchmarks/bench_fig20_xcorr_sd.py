@@ -8,8 +8,6 @@ state.  (The correlation is computed over the full series; the m = 1
 filter belongs to the forecasting analysis, Table 1.)
 """
 
-import math
-
 import pytest
 
 from _shared import per_area_clock_series, write_table

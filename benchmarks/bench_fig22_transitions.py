@@ -9,8 +9,6 @@ demand suppression (more old, fewer dying) in the surging area.
 
 import statistics
 
-import pytest
-
 from _shared import per_area_clock_series, write_table
 from repro.marketplace.config import city_config
 from repro.analysis.cleaning import build_tracks, filter_short_lived

@@ -5,8 +5,6 @@ at least 0.5; walks stay under 7 minutes in Manhattan and 9 in SF
 (SF's areas are larger, so its shortest cross-border walks are longer).
 """
 
-import pytest
-
 from _shared import write_table
 from repro.analysis.timeseries import cdf_at
 from bench_fig23_avoidance_rate import runs  # shared fixture

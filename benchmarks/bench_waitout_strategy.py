@@ -5,8 +5,6 @@ into the passenger-facing number the paper implies: how much of the
 surge premium does waiting one or two intervals recover, in each city?
 """
 
-import pytest
-
 from _shared import per_area_clock_series, write_table
 from repro.marketplace.config import city_config
 from repro.strategy.waiting import expected_premium_paid, wait_out_table

@@ -15,8 +15,6 @@ reads the simulator's internal surge state.
 Run:  python examples/audit_surge_algorithm.py   (takes a few minutes)
 """
 
-from collections import Counter
-
 from repro.api import RateLimiter, RestApi
 from repro.geo.grid import grid_cover
 from repro.marketplace import MarketplaceEngine, sf_config
@@ -33,7 +31,6 @@ from repro.analysis import (
 )
 from repro.analysis.areas import probe_multipliers
 from repro.analysis.correlate import strongest_shift
-from repro.analysis.timeseries import interval_means
 
 
 def main() -> None:

@@ -27,6 +27,9 @@ from repro.marketplace.types import CarType
 #: car_types or None for every type served here).
 PingRequest = Tuple[str, LatLon, Optional[Sequence[CarType]]]
 
+#: Cars a reply lists per car type: the nearest eight (§3.3).
+NEAREST_K = 8
+
 
 class PingServer(abc.ABC):
     """Anything that can answer a `pingClient` message."""
@@ -70,7 +73,9 @@ class PingServer(abc.ABC):
 class PingEndpoint(PingServer):
     """`pingClient` served from a live marketplace engine."""
 
-    def __init__(self, engine: MarketplaceEngine, nearest_k: int = 8) -> None:
+    def __init__(
+        self, engine: MarketplaceEngine, nearest_k: int = NEAREST_K
+    ) -> None:
         if nearest_k <= 0:
             raise ValueError("nearest_k must be positive")
         self.engine = engine

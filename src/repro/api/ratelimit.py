@@ -5,12 +5,13 @@ account (§3.2); the paper's client fleet stayed under it (and the
 `pingClient` path was never limited at all).  The limiter operates on
 simulated time so tests can exercise window expiry without sleeping.
 
-The limiter is shared mutable state between every transport that serves
-an account — the in-process :class:`repro.api.rest.RestApi`, the PR 5
-thread-pool serving path, and the socket service
-(:mod:`repro.service`) — so all bookkeeping happens under one lock:
-an unlocked prune/append interleaving miscounts budgets and can pop
-from a deque another thread just emptied.
+Its one caller in the package is :class:`repro.api.rest.RestApi`, used
+in process and by the socket service (:mod:`repro.service`), whose
+``MarketplaceService`` answers every request on one asyncio loop.  A
+limiter is still a plain object that callers may share across threads,
+so all bookkeeping happens under one lock: an unlocked prune/append
+interleaving miscounts budgets and can pop from a deque another thread
+just emptied.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class RateLimiter:
     """Sliding-window limiter: *limit* requests per *window_s* seconds.
 
     Thread-safe: :meth:`check` and :meth:`remaining` may be called
-    concurrently for the same account from transport worker threads.
+    concurrently for the same account from any threads that share the
+    limiter.
     """
 
     def __init__(self, limit: int = 1000, window_s: float = 3600.0) -> None:

@@ -11,11 +11,10 @@ Four subcommands mirror the study's workflow:
 * ``serve``    — serve the marketplace over real sockets: the REST
   estimates endpoints plus the `pingClient` WebSocket stream
   (``repro.service``), with the §3.2 rate limit enforced as HTTP 429;
-* ``worker``   — serve campaigns to a sweep dispatcher over TCP
-  (``repro.parallel.cluster``): ``measure --workers host:port,...``
-  dials listening workers, ``measure --cluster-listen`` accepts
-  ``worker --connect`` instead — outcomes byte-identical to the local
-  process-pool sweep either way;
+* ``worker``   — listen for a sweep dispatcher and run the campaigns it
+  hands over TCP (``repro.parallel.cluster``): ``measure --workers
+  host:port,...`` dials listening workers, with outcomes
+  byte-identical to the local process-pool sweep;
 * ``lint``     — static analysis over the source tree: the determinism
   rules (REP001-REP006) plus the concurrency/async hazard rules
   (REP101-REP103, REP105); text, ``--format json``, or ``--format
@@ -123,10 +122,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
         for address in (args.workers or "").split(",")
         if address.strip()
     ]
-    if workers and args.cluster_listen is not None:
-        raise SystemExit("--workers and --cluster-listen are "
-                         "mutually exclusive")
-    cluster_mode = bool(workers) or args.cluster_listen is not None
     specs = [
         CampaignSpec(
             key=f"{args.city}-s{seed}",
@@ -144,38 +139,20 @@ def cmd_measure(args: argparse.Namespace) -> int:
         )
         for seed in seeds
     ]
-    if cluster_mode:
+    if workers:
         # Cluster dispatch: same specs, same spec-ordered outcomes,
         # byte-identical identity to the local pool below.
-        from repro.parallel.cluster import (
-            run_cluster_sweep,
-            run_listening_sweep,
-        )
+        from repro.parallel.cluster import run_cluster_sweep
 
-        if workers:
-            print(f"{args.city}: cluster sweep of {len(specs)} "
-                  f"campaign(s) over {len(workers)} worker(s)",
-                  file=sys.stderr)
-            outcomes = run_cluster_sweep(
-                specs,
-                workers,
-                spec_timeout_s=args.spec_timeout,
-                max_attempts=args.max_attempts,
-            )
-        else:
-            print(f"{args.city}: cluster sweep of {len(specs)} "
-                  f"campaign(s)", file=sys.stderr)
-            outcomes = run_listening_sweep(
-                specs,
-                args.cluster_listen,
-                spec_timeout_s=args.spec_timeout,
-                max_attempts=args.max_attempts,
-                announce=lambda addr: print(
-                    f"dispatching on {addr}; attach workers with "
-                    f"`repro worker --connect {addr}`",
-                    file=sys.stderr, flush=True,
-                ),
-            )
+        print(f"{args.city}: cluster sweep of {len(specs)} "
+              f"campaign(s) over {len(workers)} worker(s)",
+              file=sys.stderr)
+        outcomes = run_cluster_sweep(
+            specs,
+            workers,
+            spec_timeout_s=args.spec_timeout,
+            max_attempts=args.max_attempts,
+        )
     else:
         # One spec, or --jobs 1, runs in this process.
         print(f"{args.city}: sweep of {len(specs)} campaign(s), "
@@ -198,34 +175,21 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.parallel.cluster import (
-        run_worker_connect,
-        run_worker_listen,
-    )
+    from repro.parallel.cluster import run_worker_listen
 
-    if bool(args.connect) == bool(args.listen):
-        raise SystemExit("worker: give exactly one of --connect "
-                         "or --listen")
     jobs_label = "auto" if args.jobs is None else str(args.jobs)
     try:
-        if args.connect:
-            print(f"worker: dialing dispatcher at {args.connect} "
-                  f"(jobs={jobs_label})", file=sys.stderr)
-            count = run_worker_connect(args.connect, jobs=args.jobs)
-            print(f"worker: sweep done, ran {count} campaign(s)",
-                  file=sys.stderr)
-        else:
-            # The "listening on" line goes to stdout un-buffered: the
-            # cluster bench and smoke scripts parse it to learn the
-            # bound port when --listen used port 0.
-            run_worker_listen(
-                args.listen,
-                jobs=args.jobs,
-                announce=lambda addr: print(
-                    f"worker: listening on {addr} (jobs={jobs_label})",
-                    flush=True,
-                ),
-            )
+        # The "listening on" line goes to stdout un-buffered: the
+        # cluster bench and smoke scripts parse it to learn the bound
+        # port when --listen used port 0.
+        run_worker_listen(
+            args.listen,
+            jobs=args.jobs,
+            announce=lambda addr: print(
+                f"worker: listening on {addr} (jobs={jobs_label})",
+                flush=True,
+            ),
+        )
     except KeyboardInterrupt:
         print("worker: shutting down", file=sys.stderr)
     return 0
@@ -438,12 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
              "repro.parallel.cluster)",
     )
     measure.add_argument(
-        "--cluster-listen", default=None, metavar="HOST:PORT",
-        help="listen here and dispatch to workers that dial in with "
-             "`repro worker --connect` (port 0 = ephemeral; the "
-             "--workers alternative for workers behind NAT)",
-    )
-    measure.add_argument(
         "--spec-timeout", type=_positive, default=None,
         help="cluster only: seconds before an unanswered campaign is "
              "requeued on another worker (default: no timeout)",
@@ -463,12 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(the distributed half of `repro measure --workers`)",
     )
     worker.add_argument(
-        "--connect", metavar="HOST:PORT", default=None,
-        help="dial a dispatcher started with `repro measure "
-             "--cluster-listen`; exits when the sweep is done",
-    )
-    worker.add_argument(
-        "--listen", metavar="HOST:PORT", default=None,
+        "--listen", metavar="HOST:PORT", required=True,
         help="listen for dispatchers (`repro measure --workers`); "
              "port 0 = ephemeral (the bound address is printed); "
              "serves until interrupted",

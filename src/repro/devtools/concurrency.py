@@ -34,13 +34,13 @@ from repro.devtools.rules import (
     ModuleContext,
     RawFinding,
     Rule,
-    attr_tokens,
     imported_names,
     module_aliases,
 )
 from repro.devtools.scopes import (
     EVENT_LOOP_GUARD,
     _own_nodes,
+    attr_tokens,
     collect_class_scopes,
     nodes_with_guards,
 )
@@ -213,10 +213,10 @@ _SPAWNERS = {"create_task", "ensure_future"}
 
 
 class _TaskSpawnMatcher(_CallMatcher):
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, module: ModuleContext) -> None:
         self.from_asyncio = {
             local
-            for local, orig in imported_names(tree, "asyncio").items()
+            for local, orig in imported_names(module, "asyncio").items()
             if orig in _SPAWNERS
         }
 
@@ -241,7 +241,7 @@ class WeakTaskReference(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[RawFinding]:
-        matcher = _TaskSpawnMatcher(module.tree)
+        matcher = _TaskSpawnMatcher(module)
         for call, desc in _unkept_calls(module.tree, matcher):
             yield RawFinding(
                 call.lineno,
@@ -275,25 +275,25 @@ class BlockingCallInAsync(Rule):
         if "service" not in module.path_parts:
             return
         tree = module.tree
-        time_aliases = module_aliases(tree, "time")
+        time_aliases = module_aliases(module, "time")
         sleep_names = {
             local
-            for local, orig in imported_names(tree, "time").items()
+            for local, orig in imported_names(module, "time").items()
             if orig == "sleep"
         }
-        socket_aliases = module_aliases(tree, "socket")
-        socket_names = set(imported_names(tree, "socket"))
-        subprocess_aliases = module_aliases(tree, "subprocess")
+        socket_aliases = module_aliases(module, "socket")
+        socket_names = set(imported_names(module, "socket"))
+        subprocess_aliases = module_aliases(module, "subprocess")
         subprocess_names = {
             local
-            for local, orig in imported_names(tree, "subprocess").items()
+            for local, orig in imported_names(module, "subprocess").items()
             if orig in _SUBPROCESS_FNS
         }
-        os_aliases = module_aliases(tree, "os")
+        os_aliases = module_aliases(module, "os")
         urlopen_names = {
             local
             for local, orig in imported_names(
-                tree, "urllib.request"
+                module, "urllib.request"
             ).items()
             if orig == "urlopen"
         }

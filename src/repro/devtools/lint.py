@@ -177,23 +177,27 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
     return sorted(set(files))
 
 
-def find_flag_matrix_text(start: Path) -> Optional[str]:
-    """Concatenated flag-matrix test text for the project containing
-    *start*, found by walking up to the nearest pyproject.toml."""
+def find_project_root(start: Path) -> Optional[Path]:
+    """The nearest directory at or above *start* with a pyproject.toml."""
     probe = start.resolve()
     if probe.is_file():
         probe = probe.parent
     for candidate in [probe, *probe.parents]:
         if (candidate / "pyproject.toml").is_file():
-            chunks = []
-            for rel in FLAG_MATRIX_FILES:
-                matrix_file = candidate / rel
-                if matrix_file.is_file():
-                    chunks.append(
-                        matrix_file.read_text(encoding="utf-8")
-                    )
-            return "\n".join(chunks) if chunks else None
+            return candidate
     return None
+
+
+def read_flag_matrix_text(root: Optional[Path]) -> Optional[str]:
+    """Concatenated flag-matrix test text of the project at *root*."""
+    if root is None:
+        return None
+    chunks = [
+        (root / rel).read_text(encoding="utf-8")
+        for rel in FLAG_MATRIX_FILES
+        if (root / rel).is_file()
+    ]
+    return "\n".join(chunks) if chunks else None
 
 
 def lint_file(path: Path, project: ProjectContext) -> List[Finding]:
@@ -289,18 +293,24 @@ def run_lint(
     """Lint every .py file under *paths* with both passes.
 
     *flag_matrix_text* is ``"auto"`` (discover the project's matrix test
-    files by walking up to pyproject.toml), ``None`` (REP006 skips its
-    matrix check), or explicit text.
+    files by walking up to pyproject.toml; each project's files are
+    read once per call), ``None`` (REP006 skips its matrix check), or
+    explicit text.
     """
     roots = [Path(p) for p in paths]
     files = iter_python_files(roots)
     result = LintResult()
+    projects: Dict[Optional[Path], ProjectContext] = {}
     for path in files:
         if flag_matrix_text == "auto":
-            matrix = find_flag_matrix_text(path)
+            root = find_project_root(path)
+            if root not in projects:
+                projects[root] = ProjectContext(
+                    flag_matrix_text=read_flag_matrix_text(root)
+                )
+            project = projects[root]
         else:
-            matrix = flag_matrix_text  # type: ignore[assignment]
-        project = ProjectContext(flag_matrix_text=matrix)
+            project = ProjectContext(flag_matrix_text=flag_matrix_text)
         result.findings.extend(lint_file(path, project))
         result.files_checked += 1
     return result

@@ -17,8 +17,20 @@ RNG receivers whose name contains ``rng``) are documented in
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from dataclasses import dataclass, field
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+)
+
+from repro.devtools.scopes import _own_nodes, attr_tokens
 
 #: Meta-code: lint integrity itself (unparseable file, suppression with no
 #: justification, suppression that matches no finding).  Emitted by the
@@ -58,61 +70,44 @@ class ModuleContext:
     tree: ast.Module
     source: str
     project: ProjectContext
+    #: Every ``import`` and ``from ... import`` statement of the module,
+    #: nested ones included, in ``ast.walk`` order: collected once and
+    #: read by :func:`module_aliases` and :func:`imported_names`.
+    imports: List[Union[ast.Import, ast.ImportFrom]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.imports = [
+            node
+            for node in ast.walk(self.tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
 
 
 # ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
-def attr_tokens(node: ast.AST) -> List[str]:
-    """Dotted-chain identifiers of an attribute expression, base first.
-
-    ``self.rng.random`` -> ``["self", "rng", "random"]``.  A non-name
-    base (call result, subscript) contributes no token.
-    """
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return list(reversed(parts))
-
-
-def module_aliases(tree: ast.Module, module: str) -> Set[str]:
-    """Names the given top-level module is imported as (``np`` etc.)."""
+def module_aliases(module: ModuleContext, name: str) -> Set[str]:
+    """Names the top-level module *name* is imported as (``np`` etc.)."""
     found: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in module.imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == module or alias.name.startswith(
-                    module + "."
+                if alias.name == name or alias.name.startswith(
+                    name + "."
                 ):
                     found.add((alias.asname or alias.name).split(".")[0])
     return found
 
 
-def imported_names(tree: ast.Module, module: str) -> Dict[str, str]:
-    """``from module import a as b`` -> ``{"b": "a"}``."""
+def imported_names(module: ModuleContext, name: str) -> Dict[str, str]:
+    """``from name import a as b`` -> ``{"b": "a"}``."""
     found: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in module.imports:
         if isinstance(node, ast.ImportFrom):
-            if node.module == module and node.level == 0:
+            if node.module == name and node.level == 0:
                 for alias in node.names:
                     found[alias.asname or alias.name] = alias.name
     return found
-
-
-def _iter_own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested ``def``s."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 class Rule:
@@ -152,9 +147,9 @@ class UnseededRandomness(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[RawFinding]:
         tree = module.tree
-        random_aliases = module_aliases(tree, "random")
-        numpy_aliases = module_aliases(tree, "numpy")
-        from_random = imported_names(tree, "random")
+        random_aliases = module_aliases(module, "random")
+        numpy_aliases = module_aliases(module, "numpy")
+        from_random = imported_names(module, "random")
         # Names bound to the Random class itself (constructor calls are
         # checked for a seed argument below).
         random_ctor_names = {
@@ -278,8 +273,8 @@ class WallClockRead(Rule):
         if "benchmarks" in module.path_parts:
             return
         tree = module.tree
-        time_aliases = module_aliases(tree, "time")
-        from_time = imported_names(tree, "time")
+        time_aliases = module_aliases(module, "time")
+        from_time = imported_names(module, "time")
         clock_names = {
             local
             for local, orig in from_time.items()
@@ -363,7 +358,7 @@ class UnorderedIterationWithRNG(Rule):
         for fn in ast.walk(module.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            own = list(_iter_own_nodes(fn))
+            own = list(_own_nodes(fn))
             draws_rng = False
             appends_log = False
             for node in own:
@@ -421,15 +416,15 @@ class BitIdentityHazardMath(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[RawFinding]:
         tree = module.tree
-        math_aliases = module_aliases(tree, "math")
-        from_math = imported_names(tree, "math")
+        math_aliases = module_aliases(module, "math")
+        from_math = imported_names(module, "math")
         hazard_names = {
             local
             for local, orig in from_math.items()
             if orig in ("hypot", "fsum")
         }
-        numpy_aliases = module_aliases(tree, "numpy")
-        from_numpy = imported_names(tree, "numpy")
+        numpy_aliases = module_aliases(module, "numpy")
+        from_numpy = imported_names(module, "numpy")
         has_np_sqrt = any(orig == "sqrt" for orig in from_numpy.values())
         if not has_np_sqrt:
             for node in ast.walk(tree):
@@ -541,9 +536,9 @@ class MutableDefaultOrImportTimeCapture(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[RawFinding]:
         tree = module.tree
-        random_aliases = module_aliases(tree, "random")
-        time_aliases = module_aliases(tree, "time")
-        numpy_aliases = module_aliases(tree, "numpy")
+        random_aliases = module_aliases(module, "random")
+        time_aliases = module_aliases(module, "time")
+        numpy_aliases = module_aliases(module, "numpy")
 
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -1,13 +1,14 @@
-"""Scope and symbol-table helpers for the concurrency rules (REP1xx).
+"""Scope and symbol-table helpers for the lint rules.
 
-The concurrency pass needs facts the determinism rules never did:
+Two walks serve both passes: :func:`attr_tokens` (a dotted attribute
+chain as names) and :func:`_own_nodes` (a function's own body, shared
+by REP003, REP102, REP103 and REP105).  The concurrency pass also needs
+facts the determinism rules never did:
 
 * which attributes a class has *declared* lock-protected (the
   ``# guarded-by: <lock>`` annotation grammar, parsed here);
 * which locks are held at a given AST node (``with self._lock:``
-  context tracking, threaded through :func:`nodes_with_guards`);
-* which nodes belong to a function's own body, not to a nested ``def``
-  (:func:`_own_nodes`, shared by REP102, REP103 and REP105).
+  context tracking, threaded through :func:`nodes_with_guards`).
 
 Everything here is a pure AST/tokenize walk: linting a file never
 imports or executes it.
@@ -46,14 +47,27 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.devtools.rules import attr_tokens
-
 #: The pseudo-guard for asyncio single-task confinement.
 EVENT_LOOP_GUARD = "<event-loop>"
 
 _GUARD_RE = re.compile(r"#\s*guarded-by:\s*(?P<guard>\S+)")
 
 AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def attr_tokens(node: ast.AST) -> List[str]:
+    """Dotted-chain identifiers of an attribute expression, base first.
+
+    ``self.rng.random`` -> ``["self", "rng", "random"]``.  A non-name
+    base (call result, subscript) contributes no token.
+    """
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return list(reversed(parts))
 
 
 def guard_comments(source: str) -> Dict[int, str]:

@@ -22,7 +22,6 @@ exercised by the ablation bench.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple

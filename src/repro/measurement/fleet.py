@@ -17,7 +17,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.latlon import LatLon
-from repro.api.ping import PingEndpoint, PingServer
+from repro.api.ping import NEAREST_K, PingEndpoint, PingServer
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.measurement.client import Digest, MeasurementClient
@@ -46,7 +46,9 @@ class World(abc.ABC):
 class MarketplaceWorld(World):
     """The Uber-like marketplace as a measurable world."""
 
-    def __init__(self, engine: MarketplaceEngine, nearest_k: int = 8) -> None:
+    def __init__(
+        self, engine: MarketplaceEngine, nearest_k: int = NEAREST_K
+    ) -> None:
         self.engine = engine
         self._server = PingEndpoint(engine, nearest_k=nearest_k)
 

@@ -15,9 +15,11 @@ never inside it:
 
 * :mod:`repro.parallel.cluster` (+ :mod:`repro.parallel.wire`) — the
   multi-host extension of the orchestrator: an asyncio TCP
-  dispatcher/worker pair (``repro measure --workers`` /
-  ``repro worker``) that distributes the same ``CampaignSpec``s over
-  length-prefixed canonical-JSON frames and merges ``CampaignOutcome``s
-  in spec order, byte-identical to a local ``run_sweep`` — including
-  requeue-on-death with exactly-once merge (tier-1 enforced).
+  dispatcher/worker pair in which workers listen
+  (``repro worker --listen``) and the dispatcher dials them
+  (``repro measure --workers``).  It distributes the same
+  ``CampaignSpec``s over length-prefixed canonical-JSON frames and
+  merges ``CampaignOutcome``s in spec order, byte-identical to a local
+  ``run_sweep`` — including requeue-on-death with exactly-once merge
+  (tier-1 enforced).
 """

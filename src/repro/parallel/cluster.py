@@ -26,11 +26,9 @@ Contracts (all tier-1 enforced by ``tests/test_cluster.py``):
   dispatch for the same specs.  Campaigns are seeded per spec, so
   where they run can never matter.
 
-Initiation is symmetric: either side can listen and either can dial —
-``repro worker --listen`` + ``repro measure --workers`` is the
-two-terminal quickstart; ``repro measure --cluster-listen`` +
-``repro worker --connect`` suits workers behind NAT.  The protocol a
-side speaks depends only on its role, never on who opened the socket.
+Workers listen and the dispatcher dials: ``repro worker --listen`` on
+each host, then ``repro measure --workers HOST:PORT,...``.  A worker
+behind a firewall is reached through a tunnel to its port.
 
 Dispatcher state is event-loop confined (``guarded-by: <event-loop>``):
 every mutation happens on the loop that runs the connection handlers,
@@ -40,7 +38,6 @@ so no locks are needed and the merge order is exactly spec order.
 from __future__ import annotations
 
 import asyncio
-import traceback as traceback_module
 from collections import deque
 from concurrent.futures import Executor
 from typing import (
@@ -61,6 +58,7 @@ from repro.parallel.orchestrator import (
     CampaignSpec,
     ensure_unique_keys,
     execute_campaign,
+    failed_outcome,
     process_pool,
     resolve_workers,
 )
@@ -100,9 +98,9 @@ class SweepDispatcher:
     """Serve one sweep to any number of worker connections.
 
     Construct with the specs (duplicate keys rejected immediately, the
-    same submit-time contract as :func:`run_sweep`), then attach
-    workers via :meth:`listen` and/or :meth:`dial`, and await
-    :meth:`outcomes` for the spec-ordered result list.
+    same submit-time contract as :func:`run_sweep`), then :meth:`dial`
+    each listening worker, and await :meth:`outcomes` for the
+    spec-ordered result list.
     """
 
     def __init__(
@@ -132,7 +130,6 @@ class SweepDispatcher:
         self._parked: Deque[_WorkerConnection] = deque()  # guarded-by: <event-loop>
         self._remaining = len(specs)  # guarded-by: <event-loop>
         self._conn_tasks: Set["asyncio.Task[None]"] = set()  # guarded-by: <event-loop>
-        self._server: Optional["asyncio.Server"] = None  # guarded-by: <event-loop>
         self._done = asyncio.Event()
         if self._remaining == 0:
             self._done.set()
@@ -143,38 +140,6 @@ class SweepDispatcher:
         self.duplicates_dropped = 0  # guarded-by: <event-loop>
 
     # -- attachment ----------------------------------------------------
-
-    async def listen(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> Tuple[str, int]:
-        """Accept dialing workers; returns the bound ``(host, port)``."""
-        if self._server is not None:
-            raise RuntimeError("dispatcher is already listening")
-        self._server = await asyncio.start_server(
-            self._accepted, host=host, port=port
-        )
-        sockets = self._server.sockets
-        name = sockets[0].getsockname()
-        return str(name[0]), int(name[1])
-
-    async def _accepted(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One accepted worker session, tracked like a dialed one.
-
-        Registering in ``_conn_tasks`` lets :meth:`aclose` cancel
-        accepted sessions too; absorbing the cancellation here keeps
-        it out of the asyncio.streams done-callback, which would
-        re-raise it into the loop's exception handler as noise.
-        """
-        task = asyncio.current_task()
-        if task is not None:  # pragma: no branch - tasks always current
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        try:
-            await self.handle_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
 
     async def dial(self, host: str, port: int) -> None:
         """Connect out to a listening worker and serve it this sweep."""
@@ -196,11 +161,7 @@ class SweepDispatcher:
         return merged
 
     async def aclose(self) -> None:
-        """Stop listening, drop live connections, cancel watchdogs."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Drop live connections and cancel watchdogs."""
         for watchdog in list(self._watchdogs.values()):
             watchdog.cancel()
         self._watchdogs.clear()
@@ -218,10 +179,8 @@ class SweepDispatcher:
     ) -> None:
         """Speak the dispatcher side of one worker session.
 
-        Works identically whether the TCP connection was accepted
-        (:meth:`listen`) or initiated (:meth:`dial`).  Any protocol or
-        transport error releases the connection: its in-flight specs
-        requeue and the rest of the sweep is untouched.
+        Any protocol or transport error releases the connection: its
+        in-flight specs requeue and the rest of the sweep is untouched.
         """
         conn: Optional[_WorkerConnection] = None
         try:
@@ -457,11 +416,6 @@ class ClusterWorker:
 
     # -- attachment ----------------------------------------------------
 
-    async def connect(self, host: str, port: int) -> None:
-        """Dial a listening dispatcher; returns when the sweep is done."""
-        reader, writer = await asyncio.open_connection(host, port)
-        await self.handle_connection(reader, writer)
-
     async def listen(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> Tuple[str, int]:
@@ -571,21 +525,12 @@ class ClusterWorker:
             return await loop.run_in_executor(
                 executor, execute_campaign, spec
             )
-        except BaseException as exc:  # noqa: BLE001 - crash isolation
-            if isinstance(
-                exc, (KeyboardInterrupt, SystemExit, asyncio.CancelledError)
-            ):
-                raise
+        except Exception as exc:
             # A BrokenProcessPool poisons every later submit; rebuild
             # so the next spec gets a fresh pool.  The failure itself
             # is reported per campaign, run_sweep's isolation shape.
             self._shutdown_executor()
-            return CampaignOutcome(
-                key=spec.key,
-                ok=False,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=traceback_module.format_exc(),
-            )
+            return failed_outcome(spec.key, exc)
 
     def _ensure_executor(self) -> Executor:  # guarded-by: <event-loop>
         if self._executor is None:
@@ -629,54 +574,6 @@ def run_cluster_sweep(
             return await dispatcher.outcomes()
         finally:
             await dispatcher.aclose()
-
-    return asyncio.run(_run())
-
-
-def run_listening_sweep(
-    specs: Sequence[CampaignSpec],
-    listen: str,
-    *,
-    spec_timeout_s: Optional[float] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    announce: Optional[Callable[[str], None]] = None,
-) -> List[CampaignOutcome]:
-    """Listen for dialing workers (``repro worker --connect``) instead.
-
-    ``announce`` receives the bound ``"host:port"`` once accepting —
-    the CLI prints it so workers know where to dial (port 0 binds an
-    ephemeral port).
-    """
-    host, port = parse_hostport(listen)
-
-    async def _run() -> List[CampaignOutcome]:
-        dispatcher = SweepDispatcher(
-            specs, spec_timeout_s=spec_timeout_s, max_attempts=max_attempts
-        )
-        try:
-            bound_host, bound_port = await dispatcher.listen(host, port)
-            if announce is not None:
-                announce(f"{bound_host}:{bound_port}")
-            return await dispatcher.outcomes()
-        finally:
-            await dispatcher.aclose()
-
-    return asyncio.run(_run())
-
-
-def run_worker_connect(
-    address: str, jobs: Optional[int] = None
-) -> int:
-    """Dial a dispatcher, work until it says ``done``; campaigns run."""
-    host, port = parse_hostport(address)
-
-    async def _run() -> int:
-        worker = ClusterWorker(jobs=jobs)
-        try:
-            await worker.connect(host, port)
-            return worker.campaigns_run
-        finally:
-            await worker.aclose()
 
     return asyncio.run(_run())
 

@@ -19,7 +19,8 @@ Contracts:
 * **Crash isolation.**  A campaign that raises yields an error outcome
   carrying the exception and traceback; sibling campaigns complete
   unaffected, and a broken worker process is likewise reported per
-  campaign rather than poisoning the sweep.
+  campaign rather than poisoning the sweep.  :func:`failed_outcome`
+  builds every such outcome, the cluster worker's included.
 * **Deterministic merge.**  :func:`run_sweep` returns outcomes in
   *spec order* (specs are keyed, keys must be unique), whatever order
   the workers finish in.
@@ -33,9 +34,9 @@ import os
 import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.marketplace.config import city_config
 from repro.marketplace.engine import MarketplaceEngine
@@ -251,16 +252,36 @@ def execute_campaign(spec: CampaignSpec) -> CampaignOutcome:
             out_path=spec.out,
             wall_s=time.perf_counter() - started,  # repro: noqa=REP002 -- wall_s is measurement metadata (straggler skew), excluded from outcome identity; never feeds simulation state
         )
-    except BaseException as exc:  # noqa: BLE001 - isolation is the contract
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
-        return CampaignOutcome(
-            key=spec.key,
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback_module.format_exc(),
+    except Exception as exc:
+        return failed_outcome(
+            spec.key,
+            exc,
             wall_s=time.perf_counter() - started,  # repro: noqa=REP002 -- wall_s is measurement metadata (straggler skew), excluded from outcome identity; never feeds simulation state
         )
+
+
+def failed_outcome(
+    key: str, exc: BaseException, wall_s: Optional[float] = None
+) -> CampaignOutcome:
+    """The structured error outcome of a campaign lost to *exc*.
+
+    The one place an exception becomes a failed outcome: a campaign
+    that raised, a spec the pool would not take, a pool worker that
+    died, an executor a cluster worker lost.  Callers catch
+    ``Exception`` only, so ``KeyboardInterrupt``, ``SystemExit`` and
+    ``asyncio.CancelledError`` still propagate.
+    """
+    return CampaignOutcome(
+        key=key,
+        ok=False,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback="".join(
+            traceback_module.format_exception(
+                type(exc), exc, exc.__traceback__
+            )
+        ),
+        wall_s=wall_s,
+    )
 
 
 def ensure_unique_keys(specs: Sequence[CampaignSpec]) -> None:
@@ -291,8 +312,8 @@ def run_sweep(
     error outcomes for the campaigns that were lost — as do failures of
     ``submit`` itself — while completed siblings keep their results:
     every spec yields exactly one outcome, no matter where the failure
-    struck.  The merge is by spec position — completion order can never
-    reorder or drop a campaign.
+    struck.  Futures are read in spec order, so completion order can
+    never reorder or drop a campaign.
     """
     specs = list(specs)
     ensure_unique_keys(specs)
@@ -301,7 +322,6 @@ def run_sweep(
     effective_jobs = min(resolve_workers(jobs), len(specs))
     if effective_jobs <= 1:
         return [execute_campaign(spec) for spec in specs]
-    outcomes: Dict[str, CampaignOutcome] = {}
     with process_pool(effective_jobs) as executor:
         # Guarded submission: ``executor.submit`` itself can raise (a
         # pool already broken by a dead worker, interpreter shutdown).
@@ -310,33 +330,19 @@ def run_sweep(
         # violating the crash-isolation contract above.  Each failed
         # submit becomes that spec's structured error outcome instead,
         # and the remaining specs still get their turn.
-        futures: Dict[Future[CampaignOutcome], CampaignSpec] = {}
+        slots: List[Union[Future[CampaignOutcome], CampaignOutcome]] = []
         for spec in specs:
             try:
-                futures[executor.submit(execute_campaign, spec)] = spec
-            except BaseException as exc:  # noqa: BLE001 - see above
-                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                    raise
-                outcomes[spec.key] = CampaignOutcome(
-                    key=spec.key,
-                    ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback_module.format_exc(),
-                )
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                spec = futures[future]
-                try:
-                    outcomes[spec.key] = future.result()
-                except BaseException as exc:  # BrokenProcessPool et al.
-                    if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                        raise
-                    outcomes[spec.key] = CampaignOutcome(
-                        key=spec.key,
-                        ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback_module.format_exc(),
-                    )
-    return [outcomes[spec.key] for spec in specs]
+                slots.append(executor.submit(execute_campaign, spec))
+            except Exception as exc:
+                slots.append(failed_outcome(spec.key, exc))
+        outcomes: List[CampaignOutcome] = []
+        for spec, slot in zip(specs, slots):
+            if isinstance(slot, CampaignOutcome):
+                outcomes.append(slot)
+                continue
+            try:
+                outcomes.append(slot.result())
+            except Exception as exc:  # BrokenProcessPool et al.
+                outcomes.append(failed_outcome(spec.key, exc))
+    return outcomes

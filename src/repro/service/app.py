@@ -211,14 +211,13 @@ class MarketplaceService:
     def __init__(
         self,
         engine: MarketplaceEngine,
-        nearest_k: int = 8,
         limiter: Optional[RateLimiter] = None,
         coalesce_window_s: float = 0.0,
         city: Optional[str] = None,
     ) -> None:
         self.engine = engine
         self.limiter = limiter if limiter is not None else RateLimiter()
-        self.endpoint = PingEndpoint(engine, nearest_k=nearest_k)
+        self.endpoint = PingEndpoint(engine)
         self.rest = RestApi(engine, limiter=self.limiter)
         self.rounds = RoundAccumulator(
             self.endpoint, coalesce_window_s=coalesce_window_s

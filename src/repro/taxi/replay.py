@@ -34,12 +34,16 @@ import numpy as np
 
 from repro.geo.latlon import LatLon
 from repro.api.models import CarView, PingReply, TypeStatus
-from repro.api.ping import PingRequest, PingServer
+from repro.api.ping import NEAREST_K, PingRequest, PingServer
 from repro.marketplace.types import CarType
 from repro.taxi.trace import TripRecord
 
 #: Idle gaps longer than this mean the taxi went offline (§3.5).
 OFFLINE_GAP_S = 3.0 * 3600.0
+
+#: Speed (m/s) at which the nearest cab is assumed to drive to a client
+#: when its EWT is read off the straight-line distance.
+CAB_SPEED_MPS = 5.0
 
 #: Metres of northing per degree of latitude (local scale factors are
 #: computed per replayer from its trace's mean latitude).
@@ -144,16 +148,8 @@ class TaxiReplayServer(PingServer):
     reads the cabs visible now straight from them.
     """
 
-    def __init__(
-        self,
-        trips: Sequence[TripRecord],
-        seed: int = 0,
-        speed_mps: float = 5.0,
-        nearest_k: int = 8,
-    ) -> None:
+    def __init__(self, trips: Sequence[TripRecord], seed: int = 0) -> None:
         self.segments = build_segments(trips, seed=seed)
-        self.speed_mps = speed_mps
-        self.nearest_k = nearest_k
         self._now = 0.0
         self._tokens = [seg.token for seg in self.segments]
         #: One row per segment field, one column per segment: start and
@@ -235,7 +231,7 @@ class TaxiReplayServer(PingServer):
             dx = (lon - where[:, 1:]) * self._deg_lon_m
             dist2 = dx * dx + dy * dy
             order = np.argsort(dist2, axis=1, kind="stable")[
-                :, : self.nearest_k
+                :, :NEAREST_K
             ]
             # The clock does not move within a round, so each served
             # cab's view is built once and shared by every reply.
@@ -252,7 +248,7 @@ class TaxiReplayServer(PingServer):
                 zip(order.tolist(), nearest2.tolist())
             ):
                 cars[r] = tuple(views[i] for i in row)
-                ewts[r] = max(1.0, math.sqrt(d2) / self.speed_mps / 60.0)
+                ewts[r] = max(1.0, math.sqrt(d2) / CAB_SPEED_MPS / 60.0)
         return [
             PingReply(
                 timestamp=now,

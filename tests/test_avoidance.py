@@ -7,7 +7,6 @@ from repro.geo.latlon import LatLon, walking_minutes
 from repro.api.ratelimit import RateLimiter
 from repro.api.rest import RestApi
 from repro.marketplace.engine import MarketplaceEngine
-from repro.marketplace.types import CarType
 from repro.strategy.avoidance import SurgeAvoider, evaluate_campaign
 from repro.measurement.fleet import MarketplaceWorld
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.geo.latlon import LatLon
 from repro.geo.polygon import BoundingBox
 from repro.marketplace.types import CarType
 from repro.measurement.records import CampaignLog, ClientSample, RoundRecord

@@ -55,7 +55,7 @@ class TestParser:
               "--workers", "127.0.0.1:9"], "--max-attempts"),
             (["measure", "--spec-timeout", "-1",
               "--workers", "127.0.0.1:9"], "--spec-timeout"),
-            (["worker", "--jobs", "0", "--connect", "127.0.0.1:9"],
+            (["worker", "--jobs", "0", "--listen", "127.0.0.1:9"],
              "--jobs"),
             (["validate", "--cabs", "0"], "--cabs"),
             (["validate", "--hours", "-2"], "--hours"),
@@ -112,6 +112,14 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments: " in capsys.readouterr().err
+
+    def test_worker_requires_listen(self, capsys):
+        """A worker only listens: without --listen it stops at the
+        parser before binding anything."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker"])
+        assert excinfo.value.code == 2
+        assert "required: --listen" in capsys.readouterr().err
 
     def test_serve_defaults_parse(self):
         args = build_parser().parse_args(["serve"])

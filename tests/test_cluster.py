@@ -17,8 +17,10 @@ The acceptance contract under test:
 
 Core tests run the real dispatcher/worker protocol over in-process
 ``socket.socketpair()`` streams (no port binding, so they work in
-sandboxes); a smoke class exercises real listening sockets and the CLI
-subprocess path, skipping where the environment forbids binding.
+sandboxes); a smoke class exercises the one attach direction on real
+sockets (the worker listens, the dispatcher dials), in process and
+through ``repro worker --listen`` subprocesses, skipping where the
+environment forbids binding.
 """
 
 from __future__ import annotations
@@ -586,25 +588,6 @@ class TestRealSocketCluster:
             dispatcher = SweepDispatcher(self.SPECS)
             await dispatcher.dial(host, port)
             outcomes = await asyncio.wait_for(dispatcher.outcomes(), 60)
-            await dispatcher.aclose()
-            await worker.aclose()
-            return outcomes
-
-        outcomes = asyncio.run(main())
-        assert ([o.identity() for o in outcomes]
-                == [o.identity() for o in local])
-
-    def test_dispatcher_listens_worker_connects(self):
-        self._skip_unless_sockets()
-        local = run_sweep(self.SPECS, jobs=1)
-
-        async def main():
-            dispatcher = SweepDispatcher(self.SPECS)
-            host, port = await dispatcher.listen("127.0.0.1", 0)
-            worker = ClusterWorker(jobs=2, executor_factory=_thread_executor)
-            session = asyncio.create_task(worker.connect(host, port))
-            outcomes = await asyncio.wait_for(dispatcher.outcomes(), 60)
-            await asyncio.wait_for(session, 10)
             await dispatcher.aclose()
             await worker.aclose()
             return outcomes

@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.marketplace.clock import SECONDS_PER_DAY
-from repro.analysis.diurnal import (
-    DiurnalStats,
-    diurnal_stats,
-    rush_hour_lift,
-)
+from repro.analysis.diurnal import diurnal_stats, rush_hour_lift
 
 
 def sinusoidal_samples(days=3, step_s=600.0, phase_hour=14.0):

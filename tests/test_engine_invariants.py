@@ -17,7 +17,6 @@ from repro.marketplace.driver import DriverState
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.fleet_array import EN_ROUTE, IDLE, OFFLINE, ON_TRIP
 from repro.marketplace.rider import DiurnalProfile
-from repro.marketplace.types import CarType
 
 STATE_CODE = {
     DriverState.OFFLINE: OFFLINE,

@@ -6,17 +6,11 @@ the structure the engine actually has (5-minute clock, jitter, per-area
 pricing, supply/demand coupling) *from the log alone*.
 """
 
-import pytest
-
 from repro.marketplace.types import CarType
 from repro.analysis.cleaning import build_tracks, filter_short_lived
 from repro.analysis.jitter import detect_jitter_events
 from repro.analysis.supply_demand import estimate_supply_demand
-from repro.analysis.surge_stats import (
-    interval_multipliers,
-    surge_episodes,
-    update_moments,
-)
+from repro.analysis.surge_stats import interval_multipliers, surge_episodes
 from repro.analysis.heatmap import client_heatmap
 from repro.analysis.lifespan import lifespans_by_group
 

@@ -11,7 +11,7 @@ from repro.marketplace.types import CarType
 from repro.measurement.client import MeasurementClient
 from repro.measurement.fleet import Fleet, MarketplaceWorld, TaxiWorld, World
 from repro.measurement.placement import place_clients
-from repro.measurement.records import CampaignLog, ClientSample, RoundRecord
+from repro.measurement.records import CampaignLog
 from repro.taxi.generator import TaxiGeneratorParams, TaxiTraceGenerator
 from repro.taxi.replay import TaxiReplayServer
 

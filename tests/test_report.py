@@ -1,10 +1,7 @@
 """Tests for the one-shot audit report and gzip log persistence."""
 
-import pytest
-
-from repro.marketplace.types import CarType
 from repro.measurement.records import CampaignLog
-from repro.analysis.report import AuditReport, audit_campaign
+from repro.analysis.report import audit_campaign
 
 
 class TestAuditCampaign:

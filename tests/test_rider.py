@@ -11,7 +11,6 @@ from conftest import toy_region
 from repro.marketplace.rider import (
     DemandModel,
     DiurnalProfile,
-    RideRequest,
     _poisson,
 )
 from repro.marketplace.types import CarType

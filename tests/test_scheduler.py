@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api.ratelimit import RateLimiter, RateLimitExceeded
+from repro.api.ratelimit import RateLimiter
 from repro.measurement.scheduler import ProbePlan, RequestScheduler
 
 

@@ -45,23 +45,29 @@ SRC = REPO / "src"
 # ----------------------------------------------------------------------
 # 1. The lint gate proper
 # ----------------------------------------------------------------------
-def test_source_tree_lints_clean():
+@pytest.fixture(scope="module")
+def src_lint():
+    """One lint run over src/, shared by the two gate tests below."""
+    return run_lint([SRC])
+
+
+def test_source_tree_lints_clean(src_lint):
     """Zero non-suppressed findings across src/ — the hard gate."""
-    result = run_lint([SRC])
+    result = src_lint
     assert result.files_checked > 50  # the walk really found the tree
     assert result.active == [], (
         "determinism lint must pass on src/:\n" + render_text(result)
     )
 
 
-def test_every_suppression_is_justified():
+def test_every_suppression_is_justified(src_lint):
     """No bare noqa anywhere: each suppression carries its reason.
 
     (A bare noqa would already fail the gate above via REP000; this
     test states the contract directly and keeps the justification text
     non-trivial.)
     """
-    result = run_lint([SRC])
+    result = src_lint
     for finding in result.suppressed:
         assert len(finding.justification) >= 10, (
             f"{finding.path}:{finding.line}: suppression needs a real "

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geo.polygon import BoundingBox
-from repro.taxi.tlc import TlcReadStats, read_tlc_csv, read_tlc_rows
+from repro.taxi.tlc import read_tlc_csv
 
 HEADER = (
     "medallion,hack_license,vendor_id,rate_code,store_and_fwd_flag,"
