@@ -97,6 +97,22 @@ def _seed_list(text: str) -> List[int]:
     return seeds
 
 
+def _address(text: str) -> str:
+    """``--listen``: one ``HOST:PORT``, checked as the cluster parses it."""
+    from repro.parallel.cluster import parse_hostport
+
+    try:
+        parse_hostport(text.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text.strip()
+
+
+def _address_list(text: str) -> List[str]:
+    """``--workers``: comma-separated ``HOST:PORT`` addresses."""
+    return [_address(part) for part in text.split(",") if part.strip()]
+
+
 def _seed_out_path(out: str, seed: int) -> str:
     """Per-seed log path: ``mhtn.jsonl`` -> ``mhtn.s7.jsonl`` for seed 7.
 
@@ -117,11 +133,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     from repro.parallel.orchestrator import CampaignSpec, run_sweep
 
     seeds = args.seeds or [args.seed]
-    workers = [
-        address.strip()
-        for address in (args.workers or "").split(",")
-        if address.strip()
-    ]
+    workers = args.workers or []
     specs = [
         CampaignSpec(
             key=f"{args.city}-s{seed}",
@@ -395,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
              "see repro.parallel.orchestrator)",
     )
     measure.add_argument(
-        "--workers", default=None, metavar="HOST:PORT[,HOST:PORT...]",
+        "--workers", type=_address_list, default=None,
+        metavar="HOST:PORT[,HOST:PORT...]",
         help="dispatch the sweep to listening `repro worker` processes "
              "over TCP instead of the local process pool — outcomes "
              "are byte-identical either way (see "
@@ -421,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(the distributed half of `repro measure --workers`)",
     )
     worker.add_argument(
-        "--listen", metavar="HOST:PORT", required=True,
+        "--listen", type=_address, metavar="HOST:PORT", required=True,
         help="listen for dispatchers (`repro measure --workers`); "
              "port 0 = ephemeral (the bound address is printed); "
              "serves until interrupted",

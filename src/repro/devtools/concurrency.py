@@ -28,7 +28,7 @@ codebase; heuristic boundaries are documented per-rule in
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.devtools.rules import (
     ModuleContext,
@@ -44,8 +44,6 @@ from repro.devtools.scopes import (
     collect_class_scopes,
     nodes_with_guards,
 )
-
-_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 # ----------------------------------------------------------------------
@@ -140,46 +138,20 @@ class GuardedAttributeDiscipline(Rule):
 # ----------------------------------------------------------------------
 # Shared machinery: "is this call result kept anywhere?" (REP102/REP105)
 # ----------------------------------------------------------------------
-def _iter_scopes(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.AST, List[ast.stmt], Set[str]]]:
-    """Yield ``(scope_node, own_statements, names_loaded_in_scope)``.
-
-    The module itself is one scope; every ``def`` is another.  Loaded
-    names are collected over the *full* scope including nested defs, so
-    a future handed to a closure counts as kept.
-    """
-    scopes: List[ast.AST] = [tree]
-    for node in ast.walk(tree):
-        if isinstance(node, _FUNCTION_DEFS):
-            scopes.append(node)
-    for scope in scopes:
-        stmts = [
-            n for n in _own_nodes(scope) if isinstance(n, ast.stmt)
-        ]
-        loads: Set[str] = set()
-        walk_root = scope
-        for sub in ast.walk(walk_root):
-            if isinstance(sub, ast.Name) and isinstance(
-                sub.ctx, ast.Load
-            ):
-                loads.add(sub.id)
-        yield scope, stmts, loads
-
-
 def _unkept_calls(
-    tree: ast.Module,
+    module: ModuleContext,
     matches: "_CallMatcher",
 ) -> Iterator[Tuple[ast.Call, str]]:
     """Calls whose result is provably dropped.
 
     Two shapes fire: a bare expression statement, and an assignment to
     a plain local name that is never loaded again anywhere in the
-    enclosing scope.  Storing on ``self``/an attribute, awaiting,
-    returning, or passing the result along all count as kept.
+    enclosing scope (nested defs included, so a future handed to a
+    closure counts as kept).  Storing on ``self``/an attribute,
+    awaiting, returning, or passing the result along all count as kept.
     """
-    for _, stmts, loads in _iter_scopes(tree):
-        for stmt in stmts:
+    for scope in module.scopes:
+        for stmt in scope.statements:
             if isinstance(stmt, ast.Expr):
                 call = stmt.value
                 if isinstance(call, ast.Call):
@@ -195,7 +167,7 @@ def _unkept_calls(
                 if not isinstance(stmt.value, ast.Call):
                     continue
                 desc = matches(stmt.value)
-                if desc is not None and target.id not in loads:
+                if desc is not None and target.id not in scope.loads:
                     yield stmt.value, desc
 
 
@@ -242,7 +214,7 @@ class WeakTaskReference(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[RawFinding]:
         matcher = _TaskSpawnMatcher(module)
-        for call, desc in _unkept_calls(module.tree, matcher):
+        for call, desc in _unkept_calls(module, matcher):
             yield RawFinding(
                 call.lineno,
                 call.col_offset,
@@ -385,7 +357,7 @@ class DroppedFutureException(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[RawFinding]:
         matcher = _FutureMatcher()
-        for call, desc in _unkept_calls(module.tree, matcher):
+        for call, desc in _unkept_calls(module, matcher):
             yield RawFinding(
                 call.lineno,
                 call.col_offset,

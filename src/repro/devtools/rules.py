@@ -30,7 +30,12 @@ from typing import (
     Union,
 )
 
-from repro.devtools.scopes import _own_nodes, attr_tokens
+from repro.devtools.scopes import (
+    FunctionScope,
+    _own_nodes,
+    attr_tokens,
+    function_scopes,
+)
 
 #: Meta-code: lint integrity itself (unparseable file, suppression with no
 #: justification, suppression that matches no finding).  Emitted by the
@@ -74,6 +79,9 @@ class ModuleContext:
     #: nested ones included, in ``ast.walk`` order: collected once and
     #: read by :func:`module_aliases` and :func:`imported_names`.
     imports: List[Union[ast.Import, ast.ImportFrom]] = field(init=False)
+    #: The module and each ``def`` as scopes with their own statements
+    #: and loaded names: built once, read by REP102 and REP105.
+    scopes: List[FunctionScope] = field(init=False)
 
     def __post_init__(self) -> None:
         self.imports = [
@@ -81,6 +89,7 @@ class ModuleContext:
             for node in ast.walk(self.tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))
         ]
+        self.scopes = function_scopes(self.tree)
 
 
 # ----------------------------------------------------------------------

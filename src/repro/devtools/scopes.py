@@ -2,7 +2,9 @@
 
 Two walks serve both passes: :func:`attr_tokens` (a dotted attribute
 chain as names) and :func:`_own_nodes` (a function's own body, shared
-by REP003, REP102, REP103 and REP105).  The concurrency pass also needs
+by REP003 and REP103).  :func:`function_scopes` splits a module into
+its scopes once, with each scope's statements and loaded names, for
+REP102 and REP105.  The concurrency pass also needs
 facts the determinism rules never did:
 
 * which attributes a class has *declared* lock-protected (the
@@ -224,6 +226,49 @@ def nodes_with_guards(
 
     for child in ast.iter_child_nodes(fn):
         yield from visit(child, initial)
+
+
+@dataclass
+class FunctionScope:
+    """One scope of a module: the module itself, or one ``def``."""
+
+    node: ast.AST
+    #: The scope's own statements: a nested ``def`` statement is one,
+    #: its body is not.
+    statements: List[ast.stmt] = field(default_factory=list)
+    #: Every name loaded anywhere inside the scope, nested defs included.
+    loads: Set[str] = field(default_factory=set)
+
+
+def function_scopes(tree: ast.Module) -> List[FunctionScope]:
+    """The module and every ``def`` in it as scopes, from one walk.
+
+    Each def's loaded names are collected once and passed up to the
+    scopes enclosing it, so a future handed to a closure counts as
+    loaded where it was made.
+    """
+    scopes: List[FunctionScope] = []
+
+    def visit(node: ast.AST) -> Set[str]:
+        scope = FunctionScope(node)
+        scopes.append(scope)
+        stack: List[ast.AST] = list(ast.iter_child_nodes(node))
+        while stack:
+            child = stack.pop()
+            if isinstance(child, ast.stmt):
+                scope.statements.append(child)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.loads |= visit(child)
+                continue
+            if isinstance(child, ast.Name) and isinstance(
+                child.ctx, ast.Load
+            ):
+                scope.loads.add(child.id)
+            stack.extend(ast.iter_child_nodes(child))
+        return scope.loads
+
+    visit(tree)
+    return scopes
 
 
 def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geo.latlon import LatLon
 from repro.api.ping import NEAREST_K, PingEndpoint, PingServer
@@ -151,18 +151,18 @@ class Fleet:
             t=server.current_time(), samples=samples, cars=cars
         )
 
-    def run(
-        self,
-        world: World,
-        duration_s: float,
-        city: str = "unknown",
-        warmup_s: float = 0.0,
-    ) -> CampaignLog:
-        """Run a campaign: advance the world, ping, repeat.
+    def rounds(
+        self, world: World, duration_s: float, warmup_s: float = 0.0
+    ) -> Iterator[RoundRecord]:
+        """Run a campaign: advance the world, ping, repeat; yield each
+        round as it is measured.
 
         ``warmup_s`` lets the world settle (supply ramp-up, first surge
-        intervals) before logging starts — the equivalent of the paper's
-        data-cleaning of partial first days (§4.1).
+        intervals) before the first round — the equivalent of the
+        paper's data-cleaning of partial first days (§4.1).  Nothing
+        here keeps a round once it is yielded, so a consumer that
+        writes each one out (:meth:`CampaignLog.write`) holds one round
+        at a time, however long the campaign.
 
         **Threading contract: single-threaded per campaign.**  One
         campaign = one thread driving this loop, and the engine it
@@ -190,15 +190,31 @@ class Fleet:
             raise ValueError("duration must be positive")
         if warmup_s > 0:
             world.advance(warmup_s)
-        log = CampaignLog(
-            city=city,
-            client_positions=dict(self.positions),
-            ping_interval_s=self.ping_interval_s,
-        )
         interval = self.ping_interval_s
         total_rounds = max(1, math.ceil(duration_s / interval - 1e-9))
         start = world.now
         for k in range(total_rounds):
-            log.rounds.append(self.measure_round(world.server))
+            yield self.measure_round(world.server)
             world.advance(max(0.0, start + (k + 1) * interval - world.now))
+
+    def run(
+        self,
+        world: World,
+        duration_s: float,
+        city: str = "unknown",
+        warmup_s: float = 0.0,
+    ) -> CampaignLog:
+        """Run a campaign (see :meth:`rounds`) and hold every round in
+        the returned log.
+
+        Memory grows with the campaign; a run that only writes its log
+        streams :meth:`rounds` into :meth:`CampaignLog.write` instead,
+        as :func:`repro.parallel.orchestrator.execute_campaign` does.
+        """
+        log = CampaignLog(
+            city=city,
+            client_positions=self.positions,
+            ping_interval_s=self.ping_interval_s,
+        )
+        log.rounds.extend(self.rounds(world, duration_s, warmup_s))
         return log

@@ -10,18 +10,35 @@ because jitter strikes per client (§5.2).
 
 Logs serialize to JSON-lines so campaigns can be generated once (they are
 expensive) and re-analysed many times, like the paper's 996 GB archive.
+A ``.gz`` suffix gzips them at :data:`GZIP_LEVEL`: a 24-h UberX log of
+42 Manhattan clients shrinks 11.6x (234 MB to 20.2 MB), a 60-round log
+of every car type at 20x fleet density 3.6x.  :meth:`CampaignLog.write`
+takes the rounds as they are measured, so a campaign of any length
+holds one round at a time.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
 from repro.geo.latlon import LatLon
 from repro.marketplace.types import CarType
+
+#: zlib level of ``.gz`` logs, zlib's own default.  Against level 9, the
+#: ``gzip.open`` default, it takes 48 % and 67 % of the CPU for 0.8 %
+#: and 4.6 % more bytes on a 60-round all-types log and a 6-h UberX log;
+#: level 5 is cheaper still, but its UberX log is 30 % bigger than level
+#: 6's (CHANGES.md has the sweep).
+GZIP_LEVEL = 6
+
+#: Suffix of the sibling a log is written to before it replaces its
+#: path; compression follows the name without it.
+PARTIAL_SUFFIX = ".part"
 
 
 @dataclass(frozen=True)
@@ -96,18 +113,38 @@ class CampaignLog:
         return series
 
     # ------------------------------------------------------------------
-    # Persistence (JSON lines: one header line, then one line per round;
-    # a ``.gz`` suffix gzip-compresses transparently — campaign logs
-    # shrink ~10x, which matters at the paper's near-terabyte scale)
+    # Persistence (JSON lines: one header line, then one line per round)
     # ------------------------------------------------------------------
     @staticmethod
     def _open(path: Union[str, Path], mode: str) -> TextIO:
-        if str(path).endswith(".gz"):
-            return gzip.open(path, mode + "t")
+        if str(path).removesuffix(PARTIAL_SUFFIX).endswith(".gz"):
+            return gzip.open(path, mode + "t", compresslevel=GZIP_LEVEL)
         return open(path, mode)
 
     def save(self, path: Union[str, Path]) -> None:
-        with self._open(path, "w") as f:
+        """Write this log, every round it holds, to *path* (see
+        :meth:`write`)."""
+        self.write(path, self.rounds)
+
+    def write(
+        self, path: Union[str, Path], rounds: Iterable[RoundRecord]
+    ) -> int:
+        """Write this log's header, then one line per round of
+        *rounds*, to *path*; return the number of rounds written.
+
+        The rounds are written as *rounds* yields them and none is
+        kept, so a campaign can hand its rounds over as it measures
+        them (``self.rounds`` is not read or changed).  The lines go to
+        the sibling ``<path>.part``, which replaces *path* once *rounds*
+        is exhausted: a file at *path* is always a whole log.  If
+        *rounds* raises, or the process dies, the sibling stays, and
+        :meth:`load` with ``strict=False`` reads it up to its last
+        whole round.  A ``.gz`` suffix on *path* gzips at
+        :data:`GZIP_LEVEL`.
+        """
+        partial = f"{path}{PARTIAL_SUFFIX}"
+        count = 0
+        with self._open(partial, "w") as f:
             header = {
                 "city": self.city,
                 "ping_interval_s": self.ping_interval_s,
@@ -117,20 +154,10 @@ class CampaignLog:
                 },
             }
             f.write(json.dumps(header) + "\n")
-            for record in self.rounds:
-                row = {
-                    "t": record.t,
-                    "samples": [
-                        [cid, ct.value, s.multiplier, s.ewt_minutes,
-                         list(s.car_ids)]
-                        for (cid, ct), s in record.samples.items()
-                    ],
-                    "cars": {
-                        car_id: [lat, lon]
-                        for car_id, (lat, lon) in record.cars.items()
-                    },
-                }
-                f.write(json.dumps(row) + "\n")
+            for count, record in enumerate(rounds, start=1):
+                f.write(_round_line(record))
+        os.replace(partial, path)
+        return count
 
     @classmethod
     def load(
@@ -185,9 +212,22 @@ class CampaignLog:
         return log
 
 
+def _round_line(record: RoundRecord) -> str:
+    """One round as its line of a saved log (tuples encode as JSON
+    arrays, so the car ids and positions go in as they are)."""
+    return json.dumps({
+        "t": record.t,
+        "samples": [
+            [cid, ct.value, s.multiplier, s.ewt_minutes, s.car_ids]
+            for (cid, ct), s in record.samples.items()
+        ],
+        "cars": record.cars,
+    }) + "\n"
+
+
 def _round_from_line(line: str) -> RoundRecord:
-    """One round line of a saved log, as :meth:`CampaignLog.save`
-    writes it."""
+    """One round line of a saved log, as :func:`_round_line` writes
+    it."""
     row = json.loads(line)
     samples = {
         (cid, CarType(ct)): ClientSample(

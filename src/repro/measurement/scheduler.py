@@ -49,7 +49,7 @@ class RequestScheduler:
     :meth:`total_spent`) is guarded by a lock: the parallel layer runs
     whole campaigns on worker processes, and while nothing currently
     calls into a scheduler off the campaign's own thread (see
-    :meth:`Fleet.run <repro.measurement.fleet.Fleet.run>`), spend
+    :meth:`Fleet.rounds <repro.measurement.fleet.Fleet.rounds>`), spend
     tracking is exactly the kind of read-modify-write state a future
     threaded probe driver would corrupt silently — the lock makes the
     invariant structural instead of conventional.  Lock-free reads of

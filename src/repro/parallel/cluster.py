@@ -498,13 +498,17 @@ class ClusterWorker:
                 task.cancel()
             raise
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                if tasks:
+                    await asyncio.gather(*tasks, return_exceptions=True)
+            finally:
+                # Also when the session is cancelled while it waits for
+                # a campaign still in flight after ``done``.
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
 
     async def _run_one(
         self, writer: asyncio.StreamWriter, index: int, spec: CampaignSpec

@@ -43,6 +43,7 @@ from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 from repro.measurement.fleet import Fleet, MarketplaceWorld
 from repro.measurement.placement import place_clients
+from repro.measurement.records import CampaignLog
 
 #: Default cap on worker processes when ``jobs`` is left unset: enough
 #: to fill a typical workstation, small enough not to oversubscribe
@@ -110,8 +111,11 @@ class CampaignSpec:
     ping_interval_s: float = 5.0
     jitter: float = 0.25
     max_clients: Optional[int] = None
-    #: Save the campaign log here (JSON lines; ``.gz`` compresses).
-    #: ``None`` keeps the run digest-only — nothing hits disk.
+    #: Stream the campaign log here (JSON lines; ``.gz`` compresses),
+    #: a round at a time, through the sibling ``<out>.part``: the log
+    #: appears at ``out`` whole when the campaign completes, or not at
+    #: all, and a killed run leaves the sibling.  ``None`` keeps the
+    #: run digest-only — nothing hits disk.
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -211,9 +215,14 @@ def execute_campaign(spec: CampaignSpec) -> CampaignOutcome:
     The one place campaign parameters become a marketplace log:
     ``repro measure`` (one seed or a sweep, local or clustered), the
     cluster workers and the bench cache all run their specs here.
+    Each round is written to ``spec.out`` as it is measured (see
+    :meth:`~repro.measurement.records.CampaignLog.write`) and none is
+    held, so memory does not grow with the campaign's length; the log
+    appears at ``spec.out`` whole or not at all, and a killed or
+    failed run leaves its rounds so far in the sibling ``.part`` file.
     Module-level and spec-in/outcome-out so it pickles cleanly as a
     :class:`~concurrent.futures.ProcessPoolExecutor` work item.  Any
-    exception — bad spec, engine error, disk error on save — becomes a
+    exception — bad spec, engine error, disk error on write — becomes a
     structured error outcome; crash isolation is this function's job,
     so a sweep's other campaigns never see a sibling's failure.
     """
@@ -229,17 +238,20 @@ def execute_campaign(spec: CampaignSpec) -> CampaignOutcome:
             car_types=[CarType.UBERX],
             ping_interval_s=spec.ping_interval_s,
         )
-        log = fleet.run(
+        rounds = fleet.rounds(
             MarketplaceWorld(engine),
             duration_s=spec.hours * 3600.0,
-            city=spec.city,
             warmup_s=spec.warmup_hours * 3600.0,
         )
-        if spec.out is not None:
-            log.save(spec.out)
+        if spec.out is None:
+            measured = sum(1 for _ in rounds)
+        else:
+            measured = CampaignLog(
+                spec.city, fleet.positions, spec.ping_interval_s
+            ).write(spec.out, rounds)
         metrics: Dict[str, float] = {
-            "rounds": float(len(log.rounds)),
-            "clients": float(len(log.client_positions)),
+            "rounds": float(measured),
+            "clients": float(len(fleet.clients)),
             "truth_intervals": float(len(engine.truth)),
             "trips_completed": float(len(engine.completed_trips)),
         }

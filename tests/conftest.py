@@ -15,7 +15,7 @@ import pytest
 from repro.geo.latlon import LatLon
 from repro.geo.polygon import BoundingBox
 from repro.geo.regions import CityRegion, Hotspot, _quad_split
-from repro.marketplace.config import CityConfig, DriverBehavior
+from repro.marketplace.config import CityConfig, DriverBehavior, city_config
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.jitter import JitterParams
 from repro.marketplace.rider import DiurnalProfile
@@ -23,6 +23,7 @@ from repro.marketplace.surge import SurgeParams
 from repro.marketplace.types import CarType
 from repro.measurement.fleet import Fleet, MarketplaceWorld
 from repro.measurement.placement import place_clients
+from repro.measurement.records import CampaignLog
 
 
 def toy_region() -> CityRegion:
@@ -118,3 +119,22 @@ def toy_campaign():
     log = fleet.run(world, duration_s=5400.0, city="toyville",
                     warmup_s=1800.0)
     return engine, log
+
+
+def spec_campaign(spec):
+    """*spec*'s campaign set up as ``execute_campaign`` sets it up:
+    its log with no rounds yet, and its rounds, measured as they are
+    drawn from the returned iterator."""
+    config = city_config(spec.city, spec.jitter)
+    fleet = Fleet(
+        place_clients(config.region, max_clients=spec.max_clients),
+        car_types=[CarType.UBERX],
+        ping_interval_s=spec.ping_interval_s,
+    )
+    log = CampaignLog(spec.city, fleet.positions, spec.ping_interval_s)
+    rounds = fleet.rounds(
+        MarketplaceWorld(MarketplaceEngine(config, seed=spec.seed)),
+        duration_s=spec.hours * 3600.0,
+        warmup_s=spec.warmup_hours * 3600.0,
+    )
+    return log, rounds

@@ -57,6 +57,11 @@ class TestParser:
               "--workers", "127.0.0.1:9"], "--spec-timeout"),
             (["worker", "--jobs", "0", "--listen", "127.0.0.1:9"],
              "--jobs"),
+            (["worker", "--listen", "nohost"], "--listen"),
+            (["worker", "--listen", "127.0.0.1:70000"], "--listen"),
+            (["measure", "--workers", "bad"], "--workers"),
+            (["measure", "--workers", "127.0.0.1:9,127.0.0.1:70000"],
+             "--workers"),
             (["validate", "--cabs", "0"], "--cabs"),
             (["validate", "--hours", "-2"], "--hours"),
             (["validate", "--ping-interval", "0"], "--ping-interval"),
@@ -75,7 +80,9 @@ class TestParser:
             "hours-zero", "warmup-negative", "ping-interval-zero",
             "jitter-above-one", "jobs-negative", "seeds-not-integers",
             "max-attempts-zero", "spec-timeout-negative",
-            "worker-jobs-zero", "validate-cabs-zero",
+            "worker-jobs-zero", "worker-listen-no-port",
+            "worker-listen-port-above-65535", "workers-no-port",
+            "workers-port-above-65535", "validate-cabs-zero",
             "validate-hours-negative", "validate-ping-interval-zero",
             "tracestats-cabs-negative", "tracestats-days-negative",
             "tracestats-max-rows-zero", "surgemap-hour-negative",
@@ -85,9 +92,10 @@ class TestParser:
         ],
     )
     def test_malformed_numbers_are_usage_errors(self, argv, flag, capsys):
-        """Out-of-range or unparsable numbers stop at the parser with a
-        usage error naming the flag (exit 2) — never a traceback from
-        deep inside a campaign, and never a silently clamped run."""
+        """Out-of-range or unparsable numbers, ports included, stop at
+        the parser with a usage error naming the flag (exit 2) — never
+        a traceback from deep inside a campaign, and never a silently
+        clamped run."""
         if argv[0] == "measure":
             argv = argv + ["--out", "x.jsonl"]
         with pytest.raises(SystemExit) as excinfo:

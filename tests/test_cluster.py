@@ -490,6 +490,8 @@ class TestProtocolDiscipline:
             await wb.drain()
             # The dispatcher hangs up instead of assigning work.
             assert await wire.read_frame(rb) is None
+            wb.close()
+            await wb.wait_closed()
             await _teardown([handler])
             assert dispatcher.workers_seen == 0
             worker = ClusterWorker(
@@ -643,6 +645,7 @@ class TestRealSocketCluster:
             for proc in procs:
                 proc.kill()
                 proc.wait(timeout=10)
+                proc.stdout.close()
 
         assert [o.key for o in outcomes] == [s.key for s in specs]
         assert all(o.ok for o in outcomes), [o.error for o in outcomes]
@@ -675,6 +678,7 @@ class TestRealSocketCluster:
         finally:
             proc.kill()
             proc.wait(timeout=10)
+            proc.stdout.close()
         deadline = time.monotonic() + 5.0
         while _running(children) and time.monotonic() < deadline:
             time.sleep(0.1)

@@ -5,18 +5,27 @@ uploads, and concatenation mistakes happen.  The loaders must fail
 loudly (or skip knowingly) rather than silently corrupt figures.
 """
 
+import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from conftest import spec_campaign
 from repro.geo.latlon import LatLon
 from repro.marketplace.types import CarType
 from repro.measurement.records import (
+    PARTIAL_SUFFIX,
     CampaignLog,
     ClientSample,
     RoundRecord,
 )
+from repro.parallel.orchestrator import CampaignSpec
 
 
 @pytest.fixture
@@ -112,13 +121,13 @@ class TestCorruptRounds:
 
 
 class TestTruncatedGzipLog:
-    """A ``.jsonl.gz`` log cut short, as a campaign killed mid-save
-    leaves it, loads like a torn plain log: leniently, every round
-    before the cut; strictly, a ValueError naming the path."""
+    """A ``.jsonl.gz`` log cut short, as a killed campaign leaves its
+    ``.part`` sibling, loads like a torn plain log: leniently, every
+    round before the cut; strictly, a ValueError naming the path."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
-        from repro.parallel.orchestrator import CampaignSpec, execute_campaign
+        from repro.parallel.orchestrator import execute_campaign
         path = tmp_path_factory.mktemp("gz") / "campaign.jsonl.gz"
         outcome = execute_campaign(CampaignSpec(
             key="gz", city="sf", seed=3, hours=0.5,
@@ -157,6 +166,64 @@ class TestTruncatedGzipLog:
         torn = self.cut(saved, tmp_path, keep)
         with pytest.raises(ValueError, match=re.escape(str(torn))):
             CampaignLog.load(torn, strict=strict)
+
+
+class TestKilledCampaign:
+    def test_killed_run_keeps_its_rounds(self, tmp_path):
+        """A SIGKILLed ``repro measure`` leaves no log at ``--out``, and
+        its ``.part`` sibling loads (leniently) as the first rounds of
+        the same campaign run without interruption."""
+        out = tmp_path / "k.jsonl.gz"
+        partial = Path(f"{out}{PARTIAL_SUFFIX}")
+        spec = CampaignSpec(key="killed", city="manhattan", seed=7,
+                            hours=6.0, ping_interval_s=5.0)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "measure",
+             "--city", spec.city, "--seed", str(spec.seed),
+             "--hours", str(spec.hours), "--warmup-hours", "0",
+             "--ping-interval", str(spec.ping_interval_s),
+             "--out", str(out)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            kept = []
+            while not kept:
+                assert proc.poll() is None, "the campaign ended unkilled"
+                assert time.monotonic() < deadline, "no round written"
+                time.sleep(0.05)
+                try:
+                    kept = CampaignLog.load(partial, strict=False).rounds
+                except (OSError, ValueError):
+                    pass  # not created yet, or its header not yet out
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert not out.exists()
+        kept = CampaignLog.load(partial, strict=False)
+        log, rounds = spec_campaign(spec)
+        assert kept.client_positions == log.client_positions
+        assert kept.rounds == list(
+            itertools.islice(rounds, len(kept.rounds)))
+
+    def test_a_raising_run_leaves_its_rounds(self, small_log, tmp_path):
+        """Rounds that raise midway leave no log at the path, and a
+        whole sibling holding every round written before the raise."""
+        path = tmp_path / "r.jsonl.gz"
+
+        def rounds():
+            yield from small_log.rounds[:3]
+            raise RuntimeError("engine died")
+
+        with pytest.raises(RuntimeError, match="engine died"):
+            small_log.write(path, rounds())
+        assert not path.exists()
+        kept = CampaignLog.load(f"{path}{PARTIAL_SUFFIX}")
+        assert kept.rounds == small_log.rounds[:3]
 
 
 class TestHostileInputsElsewhere:

@@ -14,18 +14,22 @@ Two contracts under test:
 
 from __future__ import annotations
 
+import gzip
 import json
 import multiprocessing
 import os
 import threading
+import weakref
 from concurrent.futures import Future
 
 import pytest
 
+from conftest import spec_campaign
 from repro.api.ping import PingEndpoint
 from repro.geo.latlon import LatLon
 from repro.marketplace.config import manhattan_config
 from repro.marketplace.engine import MarketplaceEngine
+from repro.measurement.fleet import Fleet
 from repro.measurement.scheduler import RequestScheduler
 from repro.parallel.orchestrator import (
     CampaignOutcome,
@@ -178,21 +182,55 @@ def test_empty_sweep():
     assert run_sweep([], jobs=4) == []
 
 
-def test_campaign_log_written_by_worker(tmp_path):
-    out = tmp_path / "c.jsonl"
-    outcome = execute_campaign(_tiny_spec("logged", out=str(out)))
+@pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+def test_campaign_log_written_by_worker(tmp_path, suffix):
+    """The log execute_campaign streams holds the bytes
+    ``CampaignLog.save`` writes for the same campaign run in memory
+    (once decompressed, for ``.gz``), and its sibling is gone."""
+    out = tmp_path / f"c{suffix}"
+    spec = _tiny_spec("logged", out=str(out))
+    outcome = execute_campaign(spec)
     assert outcome.ok
     assert outcome.out_path == str(out)
-    from repro.measurement.records import CampaignLog
-
-    log = CampaignLog.load(out)
+    log, rounds = spec_campaign(spec)
+    log.rounds.extend(rounds)
+    held = tmp_path / "held.jsonl"
+    log.save(held)
+    streamed = out.read_bytes()
+    if suffix.endswith(".gz"):
+        streamed = gzip.decompress(streamed)
+    assert streamed == held.read_bytes()
     assert len(log.rounds) == int(outcome.metrics["rounds"])
+    assert sorted(os.listdir(tmp_path)) == sorted([out.name, held.name])
+
+
+@pytest.mark.parametrize("out", [None, "c.jsonl.gz"])
+def test_campaign_holds_no_round(tmp_path, monkeypatch, out):
+    """execute_campaign writes each round as it is measured: when a
+    round is measured, at most one earlier round is still alive."""
+    records = []
+    alive = []
+    measure_round = Fleet.measure_round
+
+    def tracked(self, server):
+        alive.append(sum(ref() is not None for ref in records))
+        record = measure_round(self, server)
+        records.append(weakref.ref(record))
+        return record
+
+    monkeypatch.setattr(Fleet, "measure_round", tracked)
+    outcome = execute_campaign(_tiny_spec(
+        "streamed", out=None if out is None else str(tmp_path / out)
+    ))
+    assert outcome.ok, outcome.error
+    assert len(records) == outcome.metrics["rounds"] > 2
+    assert max(alive) <= 1
 
 
 def test_save_failure_is_a_structured_error(tmp_path):
-    """A disk error *after* a successful run (unwritable out path) must
-    still come back as an error outcome, not an exception — the save is
-    inside the crash-isolation boundary."""
+    """A disk error on the log (unwritable out path) must still come
+    back as an error outcome, not an exception — the write is inside
+    the crash-isolation boundary."""
     out = tmp_path / "no_such_dir" / "c.jsonl"
     outcome = execute_campaign(_tiny_spec("diskless", out=str(out)))
     assert not outcome.ok
