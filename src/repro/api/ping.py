@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.geo.latlon import LatLon
 from repro.api.models import CarView, PingReply, TypeStatus
+from repro.marketplace.driver import Driver
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 
@@ -105,6 +106,8 @@ class PingEndpoint(PingServer):
         engine = self.engine
         if car_types is None:
             car_types = list(engine.config.fleet)
+        area_id = engine.area_id_of(location)
+        stale = engine.jitter.is_stale(account_id, engine.clock.now)
         statuses = []
         for car_type in car_types:
             nearest = engine.nearest_cars(
@@ -131,8 +134,13 @@ class PingEndpoint(PingServer):
                     car_type=car_type,
                     cars=cars,
                     ewt_minutes=ewt,
-                    surge_multiplier=engine.observed_multiplier(
-                        account_id, location, car_type
+                    surge_multiplier=engine.round_observed_multiplier(
+                        account_id,
+                        location,
+                        car_type,
+                        area_id,
+                        stale,
+                        nearest[0] if nearest else None,
                     ),
                 )
             )
@@ -235,7 +243,9 @@ class PingEndpoint(PingServer):
             ):
                 seg = batch.segment(car_type)
                 rows_i = seg[1][i] if seg is not None else []
+                nearest: Optional[Driver] = None
                 if rows_i:
+                    nearest = drivers[rows_i[0]]
                     ewt: Optional[float] = engine.ewt_from_nearest(
                         (seg[0][i][0], rows_i[0])  # type: ignore[index]
                     )
@@ -255,7 +265,12 @@ class PingEndpoint(PingServer):
                         cars=cars,
                         ewt_minutes=ewt,
                         surge_multiplier=engine.round_observed_multiplier(
-                            account_id, location, car_type, area_id, stale
+                            account_id,
+                            location,
+                            car_type,
+                            area_id,
+                            stale,
+                            nearest,
                         ),
                     )
                 )

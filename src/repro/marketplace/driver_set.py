@@ -23,6 +23,7 @@ from typing import Optional
 
 from repro.geo.latlon import LatLon
 from repro.marketplace.config import CityConfig
+from repro.marketplace.driver import Driver
 from repro.marketplace.engine import MarketplaceEngine
 from repro.marketplace.types import CarType
 
@@ -87,9 +88,13 @@ class DriverSetPricingEngine(MarketplaceEngine):
         car_type: CarType,
         area_id: Optional[int],
         stale: bool,
+        nearest: Optional[Driver],
     ) -> float:
-        # No surge areas, no server cache — nothing to serve stale.
-        return self.true_multiplier(location, car_type)
+        # No surge areas, no server cache — nothing to serve stale.  The
+        # round already found the nearest car: no fresh query.
+        if not car_type.surge_eligible or nearest is None:
+            return 1.0
+        return nearest.personal_rate
 
     # ------------------------------------------------------------------
     # Rate dynamics

@@ -359,12 +359,14 @@ class MarketplaceEngine:
         self, account_id: str, location: LatLon, car_type: CarType
     ) -> float:
         """What a given client account is served — jitter bug included."""
+        nearest = self.nearest_cars(location, car_type, k=1)
         return self.round_observed_multiplier(
             account_id,
             location,
             car_type,
             self.area_id_of(location),
             self.jitter.is_stale(account_id, self.clock.now),
+            nearest[0] if nearest else None,
         )
 
     # ------------------------------------------------------------------
@@ -456,15 +458,19 @@ class MarketplaceEngine:
         car_type: CarType,
         area_id: Optional[int],
         stale: bool,
+        nearest: Optional[Driver],
     ) -> float:
         """The multiplier *account_id* is served, given the surge area
-        of *location* and whether the account's jitter window is open.
+        of *location*, whether the account's jitter window is open, and
+        the nearest idle car of *car_type* (``None`` when none is idle).
 
         The one copy of the surge/jitter rule: :meth:`observed_multiplier`
-        looks both inputs up and calls it, and a served round computes
-        them once per request.  Pricing engines override this method
-        alone (e.g. ``DriverSetPricingEngine``), so both serving paths
-        change together.
+        looks the inputs up and calls it, and a served round passes the
+        area and staleness it computes once per request and the nearest
+        car its query already found.  The surge rule ignores *nearest*.
+        Pricing engines override this method alone (e.g.
+        ``DriverSetPricingEngine``), so both serving paths change
+        together.
         """
         if not car_type.surge_eligible:
             return 1.0

@@ -88,6 +88,39 @@ _STATE_CODE = {
     DriverState.ON_TRIP: ON_TRIP,
 }
 
+
+def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's *k* smallest values, ``k >= 1``.
+
+    Exactly ``np.argsort(values, axis=1, kind="stable")[:, :k]`` for a
+    2-D array of finite values: each row's columns in ``(value,
+    column)`` order, ties included, and whole when the row is no wider
+    than *k*.  Both nearest-car kernels (:meth:`FleetArray.nearest` and
+    the taxi replayer's ``serve_round``) select through it, so equal
+    distances rank by column, which both keep in identity order.
+
+    ``k == 1`` is the first minimum (``argmin``).  Otherwise each row's
+    k-th smallest value is found by ``np.partition``; the candidates
+    at or under it, which include every tie at the cut, are ordered by
+    (row, value) with one stable ``lexsort`` over their flat indices,
+    and each row keeps its first *k*.  This costs a partition and a
+    sort of the candidates instead of a sort of every column.
+    """
+    n, width = values.shape
+    if k == 1:
+        return np.argmin(values, axis=1)[:, None]
+    if width <= k:
+        return np.argsort(values, axis=1, kind="stable")
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    cand = np.flatnonzero(values <= kth)
+    rows = cand // width
+    picked = cand.take(np.lexsort((values.take(cand), rows)))
+    # Every row has at least k candidates, and lexsort keeps each
+    # row's group where flatnonzero put it.
+    starts = rows.searchsorted(np.arange(n))
+    return picked.take(starts[:, None] + np.arange(k)) % width
+
+
 class StepMasks(NamedTuple):
     """Boolean row masks produced by :meth:`FleetArray.begin_step`."""
 
@@ -461,12 +494,11 @@ class FleetArray:
         ``equirectangular_m``, vectorized verbatim and elementwise, so
         each entry is the float ``LatLon.fast_distance_m`` computes
         whatever the batch.  Idle rows are ascending, so column order
-        is driver-id order and both selections break distance ties by
-        id: ``argmin`` returns the first minimum, and a stable
-        ``argsort`` keeps equal distances in column order.  ``k == 1``
-        (dispatch, EWT and the centroid probes) takes the linear
-        ``argmin`` because a sort there would cost every tick a sort of
-        each centroid's idle-UberX row; larger k (ping replies) sort.
+        is driver-id order, and :func:`smallest_k`, which ranks equal
+        values by column, breaks distance ties by id.  ``k == 1``
+        (dispatch, EWT and the centroid probes) is its linear
+        ``argmin``; ping replies (``k == 8``) select each location's
+        eight without sorting its row.
         """
         rows = self.idle_rows(car_type)
         if k <= 0 or not rows.size:
@@ -479,10 +511,7 @@ class FleetArray:
         x = np.radians(qlo - lo) * np.cos(np.radians((la + qla) / 2.0))
         y = np.radians(qla - la)
         dist = EARTH_RADIUS_M * np.sqrt(x * x + y * y)
-        if k == 1:
-            order = np.argmin(dist, axis=1)[:, None]
-        else:
-            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        order = smallest_k(dist, k)
         return dist[np.arange(lats.size)[:, None], order], rows[order]
 
     def nearest_rows(

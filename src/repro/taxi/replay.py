@@ -35,6 +35,7 @@ import numpy as np
 from repro.geo.latlon import LatLon
 from repro.api.models import CarView, PingReply, TypeStatus
 from repro.api.ping import NEAREST_K, PingRequest, PingServer
+from repro.marketplace.fleet_array import smallest_k
 from repro.marketplace.types import CarType
 from repro.taxi.trace import TripRecord
 
@@ -210,11 +211,13 @@ class TaxiReplayServer(PingServer):
         their positions one interpolation with
         :meth:`AvailabilitySegment.position_at`'s arithmetic (a visible
         segment has ``start_s <= now < end_s``, so its span is
-        positive).  One clients x cabs matrix of squared planar
-        distances is sorted per row; the sort is stable, so co-located
-        cabs come back in segment order, and the EWT is read off each
-        row's nearest cab.  Every reply is a single ``UBERT`` status:
-        ordinary taxis never surge.
+        positive).  Each row of one clients x cabs matrix of squared
+        planar distances gives its eight nearest cabs through
+        :func:`~repro.marketplace.fleet_array.smallest_k`, which ranks
+        equal distances by column, so co-located cabs come back in
+        segment order; the EWT is read off each row's nearest cab.
+        Every reply is a single ``UBERT`` status: ordinary taxis never
+        surge.
         """
         now = self._now
         start_s, end_s = self._columns[:2]
@@ -230,9 +233,7 @@ class TaxiReplayServer(PingServer):
             dy = (lat - where[:, :1]) * _DEG_LAT_M
             dx = (lon - where[:, 1:]) * self._deg_lon_m
             dist2 = dx * dx + dy * dy
-            order = np.argsort(dist2, axis=1, kind="stable")[
-                :, :NEAREST_K
-            ]
+            order = smallest_k(dist2, NEAREST_K)
             # The clock does not move within a round, so each served
             # cab's view is built once and shared by every reply.
             views: Dict[int, CarView] = {}

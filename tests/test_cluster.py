@@ -335,6 +335,16 @@ class _StallingWorker(ClusterWorker):
         return await super()._execute(spec)
 
 
+def _timeout_outlasting(local) -> float:
+    """A spec timeout that the real campaigns of a *local* sweep fit in
+    with room to spare, on a slow host too: 20x the slowest one's
+    ``wall_s``, and at least 0.3 s.  A stalled spec sleeps for an hour,
+    so only a real campaign has to outlast it.  The tests add two of
+    these to ``_run_cluster``'s 60 s hang guard, so a slow host
+    stretches the guard too."""
+    return max(0.3, 20.0 * max(o.wall_s for o in local))
+
+
 class TestRequeueSemantics:
     SPECS = [_tiny_spec("a"), _tiny_spec("b", seed=4), _tiny_spec("c", seed=5)]
 
@@ -377,9 +387,10 @@ class TestRequeueSemantics:
         worker = _StallingWorker(
             "a", jobs=2, executor_factory=_thread_executor
         )
+        spec_timeout_s = _timeout_outlasting(local)
         dispatcher, outcomes = _run_cluster(
-            self.SPECS[:2], [worker],
-            spec_timeout_s=0.3, grace=0.3,
+            self.SPECS[:2], [worker], timeout=60.0 + 2 * spec_timeout_s,
+            spec_timeout_s=spec_timeout_s, grace=0.3,
         )
         # First assignment of "a" stalled past the timeout; the retry
         # (second attempt, same worker's freed slot) completed it.
@@ -390,12 +401,14 @@ class TestRequeueSemantics:
                 == [o.identity() for o in local])
 
     def test_retries_exhausted_becomes_structured_failure(self):
+        local = run_sweep(self.SPECS[1:2], jobs=1)
         worker = _StallingWorker(
             "a", stall_times=99, jobs=2, executor_factory=_thread_executor
         )
+        spec_timeout_s = _timeout_outlasting(local)
         dispatcher, outcomes = _run_cluster(
-            self.SPECS[:2], [worker],
-            spec_timeout_s=0.2, max_attempts=1, grace=0.3,
+            self.SPECS[:2], [worker], timeout=60.0 + 2 * spec_timeout_s,
+            spec_timeout_s=spec_timeout_s, max_attempts=1, grace=0.3,
         )
         abandoned, sibling = outcomes
         assert not abandoned.ok
@@ -405,9 +418,7 @@ class TestRequeueSemantics:
         assert "spec abandoned" in abandoned.error
         # Crash isolation: the sibling campaign is untouched.
         assert sibling.ok
-        assert sibling.identity() == run_sweep(
-            self.SPECS[1:2], jobs=1
-        )[0].identity()
+        assert sibling.identity() == local[0].identity()
 
     def test_repeated_disconnects_exhaust_attempts(self):
         spec = [_tiny_spec("doomed")]

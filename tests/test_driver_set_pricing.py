@@ -132,3 +132,36 @@ class TestProductionMatchesOracle:
         assert production[1], "no trips: the comparison is vacuous"
         assert len(set(production[2])) > 1
         assert production == oracle
+
+
+class TestRoundCost:
+    def test_a_round_queries_each_car_type_once(self, engine, monkeypatch):
+        """A served round prices each request from the nearest car its
+        batch query already found: one ``FleetArray.nearest`` per car
+        type queried, however many requests and surge-eligible types
+        the round holds, and the replies still quote that car's rate."""
+        from repro.api.ping import PingEndpoint
+        from repro.marketplace.fleet_array import FleetArray
+        from repro.measurement.placement import place_clients
+
+        calls = []
+        nearest = FleetArray.nearest
+
+        def counted(self, lats, lons, car_type, k):
+            calls.append(car_type)
+            return nearest(self, lats, lons, car_type, k)
+
+        locations = place_clients(engine.config.region, max_clients=6)
+        assert len(locations) > 1
+        requests = [(f"rc{i}", loc, None) for i, loc in enumerate(locations)]
+        monkeypatch.setattr(FleetArray, "nearest", counted)
+        replies = PingEndpoint(engine).serve_round(requests)
+        monkeypatch.undo()
+        fleet = list(engine.config.fleet)
+        assert any(ct.surge_eligible for ct in fleet)
+        assert sorted(calls, key=fleet.index) == fleet
+        for (_, location, _), reply in zip(requests, replies):
+            for status in reply.statuses:
+                assert status.surge_multiplier == engine.true_multiplier(
+                    location, status.car_type
+                )

@@ -39,6 +39,7 @@ from repro.marketplace.fleet_array import (
     OFFLINE,
     ON_TRIP,
     FleetArray,
+    smallest_k,
 )
 from repro.marketplace.types import CarType
 from repro.measurement.placement import place_clients
@@ -342,6 +343,41 @@ def test_nearest_ties_break_by_driver_id_at_the_cut():
     for k, rows in ((1, [2]), (3, [2, 4, 1])):
         got = oracle.nearest_idle(drivers, q, CarType.UBERX, k=k)
         assert [d.driver_id - 1 for d in got] == rows
+
+
+@st.composite
+def _selection_case(draw):
+    """A rows x width matrix and a k: k covers 1, the width and past
+    it, and values drawn from a small pool plant ties (all-equal rows
+    included) where free floats would not."""
+    import numpy as np
+
+    n = draw(st.integers(0, 16))
+    width = draw(st.integers(1, 80))
+    k = draw(st.one_of(st.just(1), st.just(width), st.integers(1, 90)))
+    free = st.floats(-1e6, 1e6, allow_nan=False)
+    pool = draw(st.one_of(st.lists(free, min_size=1, max_size=4), st.none()))
+    element = free if pool is None else st.sampled_from(pool)
+    values = draw(
+        st.lists(element, min_size=n * width, max_size=n * width)
+    )
+    return np.array(values, dtype=np.float64).reshape(n, width), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_selection_case())
+def test_smallest_k_equals_the_stable_sort(case):
+    """The top-k selection both nearest-car kernels use returns what a
+    full stable sort keeps: the same columns in (value, column) order,
+    ties at the cut included, and whole rows when k reaches the
+    width."""
+    import numpy as np
+
+    values, k = case
+    want = np.argsort(values, axis=1, kind="stable")[:, :k]
+    got = smallest_k(values, k)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_attached_driver_reads_through_to_its_row():

@@ -84,6 +84,42 @@ def test_quick_bench_equivalent_and_not_slower():
     assert result["sweep"]["all_ok"]
 
 
+@pytest.mark.perf
+def test_top_k_selection_beats_the_full_sort():
+    """A ping round's eight nearest cars come from a top-k selection,
+    not a full stable sort of each row.  On metro-x153's round shape (6
+    clients x about 3 000 idle UberX), the selection must return the
+    sort's columns and run at least 3x as fast (about 10x on a 2-vCPU
+    host), as the median of pairs timed back to back in alternating
+    order."""
+    import statistics
+    import time
+
+    import numpy as np
+
+    from repro.api.ping import NEAREST_K
+    from repro.marketplace.fleet_array import smallest_k
+
+    values = np.random.default_rng(2015).random((6, 3000)) * 2000.0
+
+    def full_sort():
+        return np.argsort(values, axis=1, kind="stable")[:, :NEAREST_K]
+
+    def select():
+        return smallest_k(values, NEAREST_K)
+
+    assert np.array_equal(select(), full_sort())
+    ratios = []
+    for pair in range(41):
+        timed = {}
+        for fn in (full_sort, select) if pair % 2 else (select, full_sort):
+            start = time.perf_counter()
+            fn()
+            timed[fn] = time.perf_counter() - start
+        ratios.append(timed[full_sort] / timed[select])
+    assert statistics.median(ratios) >= 3.0
+
+
 def test_same_seed_truth_equivalence():
     """The knob may change speed, never behaviour.
 
