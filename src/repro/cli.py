@@ -515,8 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="REST requests per hour per account "
                             "(the paper's 1000/h cap, §3.2)")
     serve.add_argument("--coalesce-ms", type=_non_negative, default=2.0,
-                       help="how long the first ping of a round waits "
-                            "for concurrent pings to join the batch")
+                       help="least time between the starts of two ping "
+                            "rounds: a ping arriving later is served at "
+                            "once, one arriving sooner waits for the "
+                            "window to close and joins the next round")
     serve.set_defaults(func=cmd_serve)
 
     # Every flag of `lint` belongs to repro.devtools.lint.run_cli; main()

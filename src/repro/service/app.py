@@ -16,8 +16,10 @@ encoding the in-process results directly):
   canonical ``PingReply`` body.  Like the production endpoint, the ping
   stream is **never rate limited** (§3.2); concurrent pings coalesce
   into lock-step rounds (:class:`repro.service.rounds.RoundAccumulator`)
-  served by one vectorized ``serve_round`` pass.  A plain ``GET`` of
-  the stream is answered 426.
+  served by one vectorized ``serve_round`` pass.  A ping that finds no
+  round started within the coalesce window is served at once; pings
+  inside the window wait for it to close and form the next round.  A
+  plain ``GET`` of the stream is answered 426.
 
 Rate limiting is enforced *at the transport*: a
 :class:`~repro.api.ratelimit.RateLimitExceeded` becomes HTTP 429 with a

@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.service.app import (
     PING_PATH,
@@ -361,25 +361,61 @@ class HttpServer:
             + b"\r\n\r\n"
         )
         await writer.drain()
-        while True:
-            frame = await read_frame(reader)
-            if frame is None:
-                return
-            opcode, payload = frame
-            if opcode == OP_PONG:
-                continue
-            if opcode == OP_PING:
-                writer.write(encode_frame(OP_PONG, payload))
-            elif opcode == OP_CLOSE:
-                writer.write(encode_frame(OP_CLOSE, payload[:2]))
+        # The next frame is read while a ping waits for its round, so a
+        # peer that hangs up meanwhile withdraws the ping.  A frame read
+        # ahead is handled only after the current reply is written.
+        next_frame = asyncio.ensure_future(read_frame(reader))
+        try:
+            while True:
+                frame = await next_frame
+                if frame is None:
+                    return
+                opcode, payload = frame
+                if opcode == OP_CLOSE:
+                    writer.write(encode_frame(OP_CLOSE, payload[:2]))
+                    await writer.drain()
+                    return
+                next_frame = asyncio.ensure_future(read_frame(reader))
+                if opcode == OP_PONG:
+                    continue
+                if opcode == OP_PING:
+                    writer.write(encode_frame(OP_PONG, payload))
+                else:
+                    answer = asyncio.ensure_future(self.service.answer(
+                        payload.decode("utf-8", "replace")
+                    ))
+                    try:
+                        await asyncio.wait(
+                            (answer, next_frame),
+                            return_when=asyncio.FIRST_COMPLETED,
+                        )
+                        if not answer.done() and _ends_session(next_frame):
+                            continue  # _discard withdraws the ping
+                        reply = await answer
+                    finally:
+                        _discard(answer)
+                    writer.write(encode_frame(OP_TEXT, reply))
                 await writer.drain()
-                return
-            else:
-                reply = await self.service.answer(
-                    payload.decode("utf-8", "replace")
-                )
-                writer.write(encode_frame(OP_TEXT, reply))
-            await writer.drain()
+        finally:
+            _discard(next_frame)
+
+
+def _discard(task: "asyncio.Future[Any]") -> None:
+    """Cancel *task*, or retrieve what it already ended with: once its
+    awaiter is gone, neither its result nor its failure is handled."""
+    if not task.cancel() and not task.cancelled():
+        task.exception()
+
+
+def _ends_session(
+    read: "asyncio.Future[Optional[Tuple[int, bytes]]]",
+) -> bool:
+    """Whether a finished frame read ends the WebSocket session: EOF, a
+    CLOSE frame, or a read that failed (a reset or a malformed frame)."""
+    if read.exception() is not None:
+        return True
+    frame = read.result()
+    return frame is None or frame[0] == OP_CLOSE
 
 
 async def _send(

@@ -5,8 +5,17 @@ every 5 s (§3.3) — which is why :meth:`PingServer.serve_round` can
 answer a whole round with one vectorized pass.  Over a socket that
 lock-step arrives as *many concurrent WebSocket messages within a tick*,
 so the transport needs a rendezvous point: the accumulator parks each
-arriving ping on a future, and one drain pass per window hands the
-accumulated batch to ``serve_round`` and distributes the replies.
+arriving ping on a future, and one drain pass hands the accumulated
+batch to ``serve_round`` and distributes the replies.
+
+The coalesce window spaces rounds; it does not delay them.  A ping that
+arrives when no round has started within the last window is served one
+event-loop pass later, together with every ping read in that pass.
+Pings that arrive within one window of the last round's start wait until
+that window closes and form the next round.  A client pinging every 5 s
+(§3.3) almost never finds company, so it pays no wait, while a
+lock-step burst that queues up during a round is still answered by one
+``serve_round``.
 
 Because ``serve_round`` is reply-for-reply identical to independent
 ``ping()`` calls (tier-1 enforced), the batch composition — which
@@ -19,6 +28,7 @@ byte-identical to the in-process path no matter how clients interleave.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import List, Optional, Tuple
 
 from repro.api.models import PingReply
@@ -34,11 +44,12 @@ class RoundAccumulator:
         Any :class:`PingServer`; batches go through its
         ``serve_round``.
     coalesce_window_s:
-        How long the first ping of a round waits for company.  ``0``
-        still yields once to the event loop, so messages already queued
-        in the same loop pass join the round; a small positive window
-        (a few milliseconds) lets independent sockets rendezvous at the
-        cost of that much added latency.
+        The least time between the starts of two rounds.  A round
+        starts one event-loop pass after its first ping, so messages
+        already queued in that pass join it, unless the last round
+        started less than this long ago: then it starts when the window
+        closes, and every ping that arrived meanwhile joins it.  ``0``
+        serves each loop pass's pings as one round.
     """
 
     def __init__(
@@ -58,6 +69,8 @@ class RoundAccumulator:
         # collected mid-window — silently stranding every parked ping
         # on a future that will never resolve.
         self._drain_task: Optional["asyncio.Task[None]"] = None  # guarded-by: <event-loop>
+        # Loop time at which the last round was handed to serve_round.
+        self._last_round_start = -math.inf  # guarded-by: <event-loop>
         #: Served-round telemetry (reported by the bench / status page).
         self.rounds_served = 0
         self.requests_served = 0
@@ -87,13 +100,17 @@ class RoundAccumulator:
             raise
 
     async def _drain(self) -> None:
-        # Let the window elapse (or at minimum yield once) so every
-        # ping already in flight on the loop can join the batch.
-        if self.coalesce_window_s > 0:
-            await asyncio.sleep(self.coalesce_window_s)
-        else:
-            await asyncio.sleep(0)
-        batch = self._pending
+        # Yield at least once, so every ping already read on the loop
+        # joins the batch, and until one window after the last round
+        # started, so pings arriving inside that window share a round.
+        loop = asyncio.get_running_loop()
+        await asyncio.sleep(max(
+            0.0,
+            self._last_round_start + self.coalesce_window_s - loop.time(),
+        ))
+        # A cancelled future is a withdrawn ping whose submit has not
+        # yet run its except clause; it is served to nobody.
+        batch = [entry for entry in self._pending if not entry[1].done()]
         self._pending = []
         self._drain_scheduled = False
         self._drain_task = None
@@ -104,6 +121,7 @@ class RoundAccumulator:
         self.requests_served += len(batch)
         if len(batch) > self.max_round_size:
             self.max_round_size = len(batch)
+        self._last_round_start = loop.time()
         try:
             replies = self._server.serve_round(requests)
         except Exception as exc:  # noqa: BLE001 - fan the failure out

@@ -230,9 +230,14 @@ class TaxiReplayServer(PingServer):
             lat = lat0 + (lat1 - lat0) * frac
             lon = lon0 + (lon1 - lon0) * frac
             where = np.array([(loc.lat, loc.lon) for _, loc, _ in requests])
-            dy = (lat - where[:, :1]) * _DEG_LAT_M
-            dx = (lon - where[:, 1:]) * self._deg_lon_m
-            dist2 = dx * dx + dy * dy
+            # Squared planar distances, built in place in two arrays.
+            dy = lat - where[:, :1]
+            dy *= _DEG_LAT_M
+            dy *= dy
+            dist2 = lon - where[:, 1:]
+            dist2 *= self._deg_lon_m
+            dist2 *= dist2
+            dist2 += dy
             order = smallest_k(dist2, NEAREST_K)
             # The clock does not move within a round, so each served
             # cab's view is built once and shared by every reply.

@@ -15,7 +15,9 @@ The load on these tests is the transport *contract*:
   engine and on the oracle (the bit-identity contract extended across
   a socket);
 * round coalescing: concurrent pings collapse into one
-  ``serve_round`` batch without changing any reply;
+  ``serve_round`` batch without changing any reply, a lone ping does
+  not wait out the window, and a ping whose client hangs up leaves its
+  round;
 * the server's own paths: keep-alive, WebSocket control frames, the
   refusals it answers itself (404, 426, 431) and the 500 for a handler
   that raises.
@@ -433,6 +435,86 @@ class TestRoundAccumulator:
         assert accumulator._pending == []
         assert reply == PingEndpoint(engine).ping("alive", center)
 
+    def test_a_ping_cancelled_as_its_round_starts_is_not_served(
+        self, engine, center
+    ):
+        """A cancelled awaiter leaves its entry parked until its except
+        clause runs, one loop pass later; a round that starts within
+        that pass must not serve it."""
+        accumulator = RoundAccumulator(
+            PingEndpoint(engine), coalesce_window_s=0.0
+        )
+
+        async def scenario():
+            survivor = asyncio.ensure_future(
+                accumulator.submit(("alive", center, None))
+            )
+            doomed = asyncio.ensure_future(
+                accumulator.submit(("gone", center, None))
+            )
+            await asyncio.sleep(0)  # both parked, drain scheduled
+            await asyncio.sleep(0)  # the drain's yield is queued ahead
+            doomed.cancel()
+            reply = await asyncio.wait_for(survivor, timeout=5.0)
+            with pytest.raises(asyncio.CancelledError):
+                await doomed
+            return reply
+
+        reply = asyncio.run(scenario())
+        assert accumulator.requests_served == 1
+        assert accumulator._pending == []
+        assert reply == PingEndpoint(engine).ping("alive", center)
+
+    def test_a_lone_ping_does_not_wait_out_the_window(self, engine, center):
+        """The window spaces rounds; it does not delay them.  A ping to
+        an idle accumulator is served one loop pass later, however long
+        the window."""
+        accumulator = RoundAccumulator(
+            PingEndpoint(engine), coalesce_window_s=5.0
+        )
+
+        async def lone():
+            return await asyncio.wait_for(
+                accumulator.submit(("lone", center, None)), timeout=1.0
+            )
+
+        assert asyncio.run(lone()) == PingEndpoint(engine).ping(
+            "lone", center
+        )
+        assert accumulator.rounds_served == 1
+
+    def test_pings_inside_the_window_share_the_next_round(self, center):
+        """After a round, pings that arrive in separate loop passes
+        within the window wait for it to close and form one round."""
+        window = 0.05
+        starts = []
+
+        class Recording:
+            def serve_round(self, requests):
+                starts.append(asyncio.get_running_loop().time())
+                return [account for account, _, _ in requests]
+
+        accumulator = RoundAccumulator(
+            Recording(), coalesce_window_s=window
+        )
+
+        async def scenario():
+            first = await accumulator.submit(("first", center, None))
+            early = asyncio.ensure_future(
+                accumulator.submit(("early", center, None))
+            )
+            await asyncio.sleep(0.01)  # a later loop pass, same window
+            late = asyncio.ensure_future(
+                accumulator.submit(("late", center, None))
+            )
+            return [first] + await asyncio.gather(early, late)
+
+        assert asyncio.run(scenario()) == ["first", "early", "late"]
+        assert accumulator.rounds_served == 2
+        assert accumulator.max_round_size == 2
+        # The loop may run a timer up to its clock resolution early.
+        assert starts[1] >= starts[0] + window - 1e-6
+
 
 class TestDisconnectDuringPing:
     """Soak: a ping whose connection vanishes while it is parked in the
@@ -447,6 +529,9 @@ class TestDisconnectDuringPing:
         reference = PingEndpoint(engine)
 
         async def scenario():
+            # A round served first opens the window the quitter's ping
+            # then waits in (a ping to an idle service is served at once).
+            await service.answer(_ping_text("first", center))
             quitter = asyncio.ensure_future(
                 service.answer(_ping_text("quitter", center))
             )
@@ -459,7 +544,7 @@ class TestDisconnectDuringPing:
             # Let the cancellation land and the window elapse.
             await asyncio.sleep(0.1)
             assert service.rounds._pending == []
-            assert service.rounds.requests_served == 0
+            assert service.rounds.requests_served == 1
             # Soak: pings after the abandonment are served normally,
             # byte-identical to the in-process endpoint.
             for i in range(5):
@@ -469,8 +554,8 @@ class TestDisconnectDuringPing:
                 )
 
         asyncio.run(scenario())
-        assert service.rounds.requests_served == 5
-        assert service.rounds.rounds_served == 5
+        assert service.rounds.requests_served == 1 + 5
+        assert service.rounds.rounds_served == 1 + 5
 
 
 def _over_socket(service, exchange):
@@ -505,6 +590,57 @@ async def _close(writer):
         await writer.wait_closed()
     except (ConnectionError, BrokenPipeError):
         pass
+
+
+class TestHangUpWhileParked:
+    """A client that hangs up while its ping waits for a round takes the
+    ping out of the round: the server reads the connection's next frame
+    while the ping waits, and a read that ends the connection cancels
+    the answer."""
+
+    @pytest.mark.parametrize("hang_up", ["abort", "close"])
+    def test_hang_up_withdraws_the_parked_ping(
+        self, engine, center, hang_up
+    ):
+        window = 0.2
+        service = MarketplaceService(engine, coalesce_window_s=window)
+        expected = serialize.encode_ping_reply(
+            PingEndpoint(engine).ping("later", center)
+        ).decode("utf-8")
+
+        async def connect(server):
+            return await WebSocketClient.connect(
+                "127.0.0.1", server.port, "/v1/ping"
+            )
+
+        async def exchange(server):
+            # A round served first opens the window the quitter's ping
+            # then waits in.
+            first = await connect(server)
+            try:
+                await first.send_text(_ping_text("first", center))
+                await first.receive_text()
+            finally:
+                await first.close()
+            served = service.rounds.requests_served
+            quitter = await connect(server)
+            await quitter.send_text(_ping_text("quitter", center))
+            await asyncio.sleep(0.01)
+            assert len(service.rounds._pending) == 1
+            if hang_up == "abort":
+                quitter._writer.transport.abort()
+            await _close(quitter._writer)
+            await asyncio.sleep(window + 0.05)  # the window closes
+            assert service.rounds.requests_served == served
+            assert service.rounds._pending == []
+            later = await connect(server)
+            try:
+                await later.send_text(_ping_text("later", center))
+                return await later.receive_text()
+            finally:
+                await later.close()
+
+        assert _over_socket(service, exchange) == expected
 
 
 class TestRealSocketSmoke:
